@@ -581,3 +581,67 @@ func TestTamperedTransferRejected(t *testing.T) {
 		t.Fatalf("tampered transfer rejected without naming the signature failure: %v", err)
 	}
 }
+
+// zeros is an endless reader of zero bytes: an oversized request body
+// that costs the test no memory.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestCoordinatorCapsBodies: an oversized /stream body and an oversized
+// /delta body each get an honest 413 and never reach the merge or
+// ApplyDelta; the coordinator keeps serving afterwards.
+func TestCoordinatorCapsBodies(t *testing.T) {
+	f := newCluster(t, 60, 3, 2, nil)
+	coordTS := httptest.NewServer(f.coord.Handler())
+	defer coordTS.Close()
+	post := func(path string, body io.Reader, length int64) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, coordTS.URL+path, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.ContentLength = length // 0: unknown, sent chunked
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	// A well-formed stream request whose role name alone outgrows the
+	// query cap, sent without a length so only the read bound stops it.
+	var sreq bytes.Buffer
+	big := wire.StreamRequest{Role: string(make([]byte, wire.MaxQueryBody)), Query: engine.Query{Relation: "Uniform"}}
+	if err := gob.NewEncoder(&sreq).Encode(big); err != nil {
+		t.Fatal(err)
+	}
+	if code := post("/stream", io.MultiReader(&sreq), 0); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /stream body answered %d, want 413", code)
+	}
+
+	// A real delta padded past the delta cap, declared up front: refused
+	// before a byte of it is read.
+	blob, err := wire.EncodeDelta(f.mintDelta(5, []byte("oversized")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(wire.MaxDeltaBody) + 1
+	body := io.MultiReader(bytes.NewReader(blob), io.LimitReader(zeros{}, n-int64(len(blob))))
+	if code := post("/delta", body, n); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /delta body answered %d, want 413", code)
+	}
+
+	st := f.coord.Stats()
+	if st.Queries != 0 || st.Streams != 0 || st.DeltasApplied != 0 {
+		t.Fatalf("oversized bodies reached the coordinator: queries=%d streams=%d deltas=%d",
+			st.Queries, st.Streams, st.DeltasApplied)
+	}
+	if rows, err := f.verifyStream(coordTS.URL, engine.Query{Relation: "Uniform"}, 8); err != nil || rows != 60 {
+		t.Fatalf("stream after refusals: rows=%d err=%v", rows, err)
+	}
+}

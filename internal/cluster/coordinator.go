@@ -158,6 +158,14 @@ type Coordinator struct {
 	cache   *cache.Client
 	cepochs []atomic.Uint64
 
+	// commitGen holds one commit generation per shard, advanced on entry
+	// to and on exit from every delta commit fan-out that touches the
+	// shard (odd = a commit is in flight). Replicas commit one after
+	// another, so a reader can pin one replica mid-commit while its
+	// sibling still serves the old slice; an unchanged, even generation
+	// across a window proves no commit overlapped it (investigateSeam).
+	commitGen []atomic.Uint64
+
 	// clog is the durable coordinator log (nil = memory-only);
 	// persistFailures counts best-effort appends that failed.
 	clog            *store.CoordLog
@@ -218,6 +226,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cache:     cfg.Cache,
 		clog:      cfg.Log,
 		cepochs:   make([]atomic.Uint64, cfg.Spec.K()),
+		commitGen: make([]atomic.Uint64, cfg.Spec.K()),
 	}
 	if c.advertise == "" {
 		c.advertise = "coordinator"
@@ -309,6 +318,15 @@ func (c *Coordinator) contentEpochs() []uint64 {
 	out := make([]uint64, len(c.cepochs))
 	for i := range c.cepochs {
 		out[i] = c.cepochs[i].Load()
+	}
+	return out
+}
+
+// commitGens snapshots the per-shard commit generations.
+func (c *Coordinator) commitGens() []uint64 {
+	out := make([]uint64, len(c.commitGen))
+	for i := range c.commitGen {
+		out[i] = c.commitGen[i].Load()
 	}
 	return out
 }
@@ -548,6 +566,9 @@ func (c *Coordinator) pinFeeds(roleName string, q engine.Query, sub []partition.
 	bypassCache := false
 	for attempt := 0; attempt < pinRetries; attempt++ {
 		repoch := c.repoch.Load()
+		// Read before any feed pins: a failed seam check is attributed
+		// to a lying replica only if no commit overlapped pin and probe.
+		gens := c.commitGens()
 		feeds := make([]engine.ShardFeed, 0, len(sub))
 		hellos := make([]wire.NodeHello, 0, len(sub))
 		// urls records which node served each feed ("" for cache hits) so
@@ -625,8 +646,8 @@ func (c *Coordinator) pinFeeds(roleName string, q engine.Query, sub []partition.
 				c.handoffRetries.Add(1)
 				lastErr = fmt.Errorf("hand-off between shards %d and %d disagrees", sub[i-1].Shard, sr.Shard)
 				ok = false
-				c.investigateSeam(sub[i-1].Shard, urls[i-1], hellos[i-1])
-				c.investigateSeam(sr.Shard, urls[i], hellos[i])
+				c.investigateSeam(sub[i-1].Shard, urls[i-1], hellos[i-1], gens[sub[i-1].Shard])
+				c.investigateSeam(sr.Shard, urls[i], hellos[i], gens[sr.Shard])
 				if len(cachedKeys) > 0 {
 					bypassCache = true
 					for _, ks := range cachedKeys {
@@ -657,7 +678,7 @@ func (c *Coordinator) pinFeeds(roleName string, q engine.Query, sub []partition.
 				c.handoffRetries.Add(1)
 				lastErr = fmt.Errorf("hand-off between shards %d and %d disagrees", prev, sub[0].Shard)
 				ok = false
-				c.investigateSeam(sub[0].Shard, urls[0], hellos[0])
+				c.investigateSeam(sub[0].Shard, urls[0], hellos[0], gens[sub[0].Shard])
 				if len(cachedKeys) > 0 {
 					bypassCache = true
 					for _, ks := range cachedKeys {

@@ -339,6 +339,16 @@ func (c *Coordinator) applyDelta(d delta.Delta) (uint64, error) {
 			return 0, fmt.Errorf("cluster: delta rejected: staged-token log append: %w", err)
 		}
 	}
+	// Bracket the fan-out in every staged shard's commit generation, so
+	// seam investigations overlapping it stay inconclusive (replica.go).
+	for shard := range stagedOn {
+		c.commitGen[shard].Add(1)
+	}
+	defer func() {
+		for shard := range stagedOn {
+			c.commitGen[shard].Add(1)
+		}
+	}()
 	var epoch uint64
 	committed := make([]string, 0, len(tokens))
 	bumped := map[int]bool{}

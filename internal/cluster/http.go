@@ -36,21 +36,30 @@ import (
 //	POST /admin/rebalance  ?shard=N&to=URL        -> JSON RebalanceReport
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/query", wire.QueryHandler(c.Query))
-	mux.HandleFunc("/stream", c.handleStream)
-	mux.HandleFunc("/delta", func(w http.ResponseWriter, r *http.Request) {
+	// Every POST body is untrusted and capped (wire.CapBody); the admin
+	// endpoints carry only form values.
+	post := func(path string, limit int64, h http.HandlerFunc) {
+		mux.Handle(path, wire.CapBody(limit, h))
+	}
+	post("/query", wire.MaxQueryBody, wire.QueryHandler(c.Query))
+	post("/stream", wire.MaxQueryBody, c.handleStream)
+	post("/delta", wire.MaxDeltaBody, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		var resp wire.DeltaResponse
 		var d delta.Delta
-		if err := gob.NewDecoder(r.Body).Decode(&d); err != nil {
+		err := gob.NewDecoder(r.Body).Decode(&d)
+		if err != nil && wire.BodyStatus(err) == http.StatusRequestEntityTooLarge {
+			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+			return
+		}
+		var resp wire.DeltaResponse
+		if err == nil {
+			resp.Epoch, err = c.ApplyDelta(d)
+		}
+		if err != nil {
 			resp.Err = err.Error()
-		} else if epoch, err := c.ApplyDelta(d); err != nil {
-			resp.Err = err.Error()
-		} else {
-			resp.Epoch = epoch
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
 		gob.NewEncoder(w).Encode(resp)
@@ -75,7 +84,7 @@ func (c *Coordinator) Handler() http.Handler {
 			Nodes        []NodeStat
 		}{c.RoutingEpoch(), c.Routing(), c.replicas, c.ReplicaSets(), c.NodeStats()})
 	})
-	mux.HandleFunc("/admin/replica", func(w http.ResponseWriter, r *http.Request) {
+	post("/admin/replica", wire.MaxQueryBody, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
@@ -105,7 +114,7 @@ func (c *Coordinator) Handler() http.Handler {
 			ReplicaSets [][]string
 		}{shard, c.ReplicaSets()})
 	})
-	mux.HandleFunc("/admin/reinstate", func(w http.ResponseWriter, r *http.Request) {
+	post("/admin/reinstate", wire.MaxQueryBody, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
@@ -121,7 +130,7 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/admin/rebalance", func(w http.ResponseWriter, r *http.Request) {
+	post("/admin/rebalance", wire.MaxQueryBody, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
@@ -157,7 +166,7 @@ func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	var req wire.StreamRequest
 	if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), wire.BodyStatus(err))
 		return
 	}
 	// The span's trace ID (client-supplied or minted here) rides every

@@ -324,11 +324,20 @@ func edgesEqual(a, b partition.Edges) bool {
 //     for the operator, and a wrongly drained honest node costs
 //     capacity, never correctness.
 //
-// Inconclusive evidence (epoch moved between hello and probe, probe
-// unreachable, no siblings) quarantines nobody: the pin loop re-pins and
-// the client verifier remains the integrity boundary either way.
-// Returns true when a node was quarantined.
-func (c *Coordinator) investigateSeam(shard int, url string, hello wire.NodeHello) bool {
+// Sibling digests are only comparable when no delta commit touched the
+// shard between the hello's pin and the sibling probes: replicas commit
+// one after another, so mid-fan-out an honest replica legitimately
+// differs from its siblings. Node epochs are per node and cannot tell,
+// so the coordinator's own commit generation does — gen is the shard's
+// generation read before the pin, and the consensus check counts only
+// if it is even (no commit in flight) and unchanged after the probes.
+//
+// Inconclusive evidence (epoch moved between hello and probe, a commit
+// overlapped the window, probe unreachable, no siblings) quarantines
+// nobody: the pin loop re-pins and the client verifier remains the
+// integrity boundary either way. Returns true when a node was
+// quarantined.
+func (c *Coordinator) investigateSeam(shard int, url string, hello wire.NodeHello, gen uint64) bool {
 	if url == "" {
 		return false // cached feed: no node sent these bytes
 	}
@@ -366,6 +375,9 @@ func (c *Coordinator) investigateSeam(shard int, url string, hello wire.NodeHell
 		} else {
 			disagree++
 		}
+	}
+	if gen%2 == 1 || c.commitGen[shard].Load() != gen {
+		return false // a commit overlapped pin and probe: not comparable
 	}
 	if agree == 0 && disagree > 0 {
 		c.quarantineNode(url, fmt.Sprintf(

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -380,6 +381,74 @@ func TestByzantineReplicaQuarantined(t *testing.T) {
 	}
 	if qn := f.coord.Stats().Quarantines; qn != 1 {
 		t.Fatalf("quarantines = %d after recovery, want still 1", qn)
+	}
+}
+
+// TestSeamRepinDuringCommitQuarantinesNobody: a delta's commit reaches
+// a shard's replicas one after another, so mid-fan-out a reader can pin
+// one shard from a replica that has committed and its neighbour from
+// one that has not. The seam mismatch that follows is honest churn, not
+// a lie. With one replica's commit held back by the injector while a
+// stream re-pins across the seam, no node may be quarantined — and once
+// the commit lands, the stream verifies again.
+func TestSeamRepinDuringCommitQuarantinesNobody(t *testing.T) {
+	// Two nodes, each holding both shards: the least-loaded pick puts
+	// the two covering shards on different nodes, so one is pinned from
+	// the committed node and one from the held one.
+	f, inj := newReplicaCluster(t, 96, 2, 2, 2, 0, nil)
+	coordTS := httptest.NewServer(f.coord.Handler())
+	defer coordTS.Close()
+	q := engine.Query{Relation: "Uniform"}
+
+	// Shard 0's last owned record is mirrored by shard 1, so updating it
+	// moves the 0-1 seam on every replica.
+	sl0 := f.set.Slices[0]
+	rec := sl0.Recs[len(sl0.Recs)-2]
+	d := f.mintDelta(f.globalIndexOf(rec.Key(), rec.Tuple.RowID), []byte("held-commit"))
+
+	// Commits go out in node URL order: hold the last one, so by the time
+	// the hold fires the other node has committed.
+	urls := append([]string(nil), f.urls...)
+	sort.Strings(urls)
+	inj.Set(cluster.Fault{
+		Node: urls[len(urls)-1], Path: "/node/tx",
+		Stage: cluster.StageRoundTrip, Mode: cluster.Hang, Times: 1,
+	})
+	applied := make(chan error, 1)
+	go func() {
+		_, err := f.coord.ApplyDelta(d)
+		applied <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for inj.Fired() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the held commit never reached the injector")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Mid-commit the replicas disagree about the seam; the stream may
+	// refuse honestly, but must not quarantine an honest node.
+	if rows, err := f.verifyStream(coordTS.URL, q, 8); err == nil && rows != 96 {
+		t.Fatalf("mid-commit stream verified %d rows, want 96", rows)
+	}
+	st := f.coord.Stats()
+	if st.HandoffRetries == 0 {
+		t.Fatal("no seam re-pin ran while the commit was held")
+	}
+	if st.Quarantines != 0 {
+		t.Fatalf("quarantines = %d while a commit was in flight, want 0", st.Quarantines)
+	}
+
+	inj.Release()
+	if err := <-applied; err != nil {
+		t.Fatalf("held delta: %v", err)
+	}
+	if rows, err := f.verifyStream(coordTS.URL, q, 8); err != nil || rows != 96 {
+		t.Fatalf("post-commit stream: rows=%d err=%v", rows, err)
+	}
+	if qn := f.coord.Stats().Quarantines; qn != 0 {
+		t.Fatalf("quarantines = %d after the commit landed, want 0", qn)
 	}
 }
 

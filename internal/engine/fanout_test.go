@@ -3,6 +3,8 @@ package engine_test
 import (
 	"io"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"vcqr/internal/accessctl"
@@ -59,7 +61,8 @@ func newFanoutEnv(t *testing.T, n, k int) *fanoutEnv {
 	}
 }
 
-// fanout executes q over the covering shards of the env's partition.
+// fanout executes q over the covering shards of the env's partition
+// through the in-process serving path (MergeLocal over local feeds).
 func (e *fanoutEnv) fanout(t *testing.T, q engine.Query, opts engine.StreamOpts) engine.ResultStream {
 	t.Helper()
 	eff, err := engine.EffectiveQuery(e.sr.Params, e.sr.Schema, e.role, q)
@@ -67,20 +70,38 @@ func (e *fanoutEnv) fanout(t *testing.T, q engine.Query, opts engine.StreamOpts)
 		t.Fatal(err)
 	}
 	sub := e.set.Spec.Decompose(eff.KeyLo, eff.KeyHi)
-	slices := make([]engine.ShardSlice, len(sub))
+	slices := make([]*core.SignedRelation, len(sub))
 	for i, s := range sub {
-		slices[i] = engine.ShardSlice{Shard: s.Shard, SR: e.set.Slices[s.Shard], Lo: s.Lo, Hi: s.Hi}
+		slices[i] = e.set.Slices[s.Shard]
 	}
-	first := sub[0].Shard
-	var prev engine.PrevPin
-	if first > 0 {
-		prev = func() (*core.SignedRelation, bool) { return e.set.Slices[first-1], true }
-	}
-	st, err := e.pub.FanoutStream(e.role, eff, slices, prev, opts)
+	st, err := e.pub.MergeLocal(e.role, eff, slices, sub, e.prevG(sub), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// prevG resolves the empty-range predecessor digest from the slice
+// preceding the cover (nil when the cover starts at shard 0).
+func (e *fanoutEnv) prevG(sub []partition.SubRange) engine.PrevG {
+	first := sub[0].Shard
+	if first == 0 {
+		return nil
+	}
+	return func() (hashx.Digest, error) {
+		prev := e.set.Slices[first-1]
+		return prev.Recs[len(prev.Recs)-3].G, nil
+	}
+}
+
+// withProcs runs the test body with GOMAXPROCS raised to at least n, so
+// MergeLocal takes its prefetching path even on a one-CPU host.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	if old := runtime.GOMAXPROCS(0); old < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	}
 }
 
 // TestFanoutMatchesUnpartitioned is the core soundness check: a
@@ -123,10 +144,11 @@ func TestFanoutMatchesUnpartitioned(t *testing.T) {
 	}
 }
 
-// TestFanoutParallelDeterminism: the parallel producer must emit the
-// same chunk sequence (up to Seq/Shard stamps it also emits) and the
-// same combined signature as the sequential one.
+// TestFanoutParallelDeterminism: the merge over prefetching local feeds
+// must emit the same chunk sequence (Seq/Shard stamps included) and the
+// same combined signature as the merge over plain sequential feeds.
 func TestFanoutParallelDeterminism(t *testing.T) {
+	withProcs(t, 4)
 	e := newFanoutEnv(t, 160, 8)
 	q := engine.Query{Relation: e.sr.Schema.Name}
 
@@ -143,8 +165,13 @@ func TestFanoutParallelDeterminism(t *testing.T) {
 			out = append(out, c)
 		}
 	}
-	seqChunks := drain(e.fanout(t, q, engine.StreamOpts{FanoutWorkers: 1, ChunkRows: 16}))
-	parChunks := drain(e.fanout(t, q, engine.StreamOpts{FanoutWorkers: 8, ChunkRows: 16}))
+	eff, feeds, prevG := e.partials(t, q, engine.StreamOpts{ChunkRows: 16})
+	seq, err := engine.MergeShards(streamSignKey(t).Public(), true, eff, feeds, prevG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqChunks := drain(seq)
+	parChunks := drain(e.fanout(t, q, engine.StreamOpts{ChunkRows: 16}))
 	if len(seqChunks) != len(parChunks) {
 		t.Fatalf("sequential emitted %d chunks, parallel %d", len(seqChunks), len(parChunks))
 	}
@@ -155,9 +182,9 @@ func TestFanoutParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestFanoutStreamVerifies drives a ≥3-shard stream through the
+// TestFanoutVerifiesChunkByChunk drives a ≥3-shard stream through the
 // incremental stream verifier chunk by chunk.
-func TestFanoutStreamVerifies(t *testing.T) {
+func TestFanoutVerifiesChunkByChunk(t *testing.T) {
 	e := newFanoutEnv(t, 96, 4)
 	q := engine.Query{Relation: e.sr.Schema.Name} // full range: covers all 4 shards
 	st := e.fanout(t, q, engine.StreamOpts{ChunkRows: 8})
@@ -270,21 +297,30 @@ func TestFanoutShardFeet(t *testing.T) {
 	}
 }
 
-// TestFanoutClose: an abandoned parallel stream must release its workers
-// without deadlock.
+// TestFanoutClose: an abandoned prefetching stream must release its
+// producers without deadlock, and leave no producer goroutine behind
+// once Close returns.
 func TestFanoutClose(t *testing.T) {
+	withProcs(t, 4)
 	e := newFanoutEnv(t, 160, 8)
 	q := engine.Query{Relation: e.sr.Schema.Name}
-	st := e.fanout(t, q, engine.StreamOpts{FanoutWorkers: 8, ChunkRows: 4})
+	st := e.fanout(t, q, engine.StreamOpts{ChunkRows: 4})
+	closer, ok := st.(io.Closer)
+	if !ok {
+		t.Fatal("fan-out stream does not implement io.Closer")
+	}
+	t.Cleanup(func() { closer.Close() })
 	if _, err := st.Next(); err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := st.(io.Closer); ok {
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		t.Fatal("fan-out stream does not implement io.Closer")
+	if n := producers(); n != 8 {
+		t.Fatalf("%d feed producers running with an 8-shard stream open, want 8", n)
+	}
+	if err := closer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := producers(); n != 0 {
+		t.Fatalf("%d feed producers left behind after Close", n)
 	}
 	// Draining after Close is allowed to fail, but must not hang.
 	for i := 0; i < 1000; i++ {
@@ -292,6 +328,14 @@ func TestFanoutClose(t *testing.T) {
 			break
 		}
 	}
+}
+
+// producers counts the live goroutines started for prefetching feeds,
+// whether or not they have been scheduled yet.
+func producers() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "created by vcqr/internal/engine.newPrefetchFeed")
 }
 
 // TestFanoutTiling: sub-ranges that do not tile the effective range are
@@ -306,8 +350,8 @@ func TestFanoutTiling(t *testing.T) {
 	if len(sub) != 2 {
 		t.Fatalf("want 2 sub-ranges, got %d", len(sub))
 	}
-	bad := []engine.ShardSlice{{Shard: 1, SR: e.set.Slices[1], Lo: sub[1].Lo, Hi: sub[1].Hi}}
-	if _, err := e.pub.FanoutStream(e.role, eff, bad, nil, engine.StreamOpts{}); err == nil {
+	bad := []*core.SignedRelation{e.set.Slices[1]}
+	if _, err := e.pub.MergeLocal(e.role, eff, bad, sub[1:], nil, engine.StreamOpts{}); err == nil {
 		t.Fatal("non-tiling shard set accepted")
 	}
 }

@@ -1,37 +1,52 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"strconv"
+	"sync"
 	"time"
 
 	"vcqr/internal/accessctl"
 	"vcqr/internal/core"
 	"vcqr/internal/hashx"
 	"vcqr/internal/obs"
+	"vcqr/internal/partition"
 	"vcqr/internal/sig"
 )
 
-// This file is the remote-source seam of the fan-out pipeline. A
-// single-process fan-out (fanout.go) merges per-shard entry runs whose
-// slices it holds in memory; a distributed one (internal/cluster) must
-// merge runs produced by shard nodes in other processes. The seam splits
-// the fan-out into the two halves that cross the wire:
+// This file is the fan-out pipeline: one query whose effective range
+// spans several partition shards is answered as a single chunk stream
+// that concatenates per-shard entry runs. Because the shards of
+// internal/partition are contiguous slices of one global signature
+// chain, the merged stream is indistinguishable — to the chain-
+// verification rules — from the stream an unpartitioned publisher would
+// emit for the same range: one header with the left boundary proof
+// (from the first covering shard), the covered entries in global key
+// order, and one footer with the right boundary proof (from the last
+// covering shard) and the condensed signature over every entry (the
+// per-shard partials multiply, so they combine in any order). The only
+// additions are the per-chunk Shard tags and the footer's ShardFeet
+// accounting, which give verifiers shard-attributed fail-fast errors.
 //
-//   - ShardPartial is the node half: one shard's contribution to a
-//     fan-out — its entry chunks, its partial condensed signature, and
-//     whichever boundary proofs its position in the cover obliges it to
-//     supply. It is built from the same buildEntry/ProveBoundary
-//     primitives as fanout.go, so the pieces are byte-identical to what
-//     an in-process worker would produce.
+// The pipeline has two halves, and one implementation of each:
 //
-//   - MergeShards is the coordinator half: it concatenates per-shard
-//     feeds (in hand-off order) into the canonical chunk sequence — one
-//     header, the entry runs, one footer with the combined condensed
-//     signature and per-shard continuity accounting. The output is
-//     byte-identical to FanoutStream over the same pinned slices, which
-//     is the whole point: the unmodified stream verifiers accept a
-//     cluster-served stream exactly as they accept a local one.
+//   - ShardPartial is the shard half: one shard's contribution — its
+//     entry chunks, its partial condensed signature, and whichever
+//     boundary proofs its position in the cover obliges it to supply.
+//
+//   - MergeShards is the merge half: it concatenates per-shard feeds (in
+//     hand-off order) into the canonical chunk sequence.
+//
+// Every serving path is the merge over some feeds. In one process
+// (MergeLocal) the feeds are ShardPartials over pinned local slices; in a
+// cluster (internal/cluster) they are node sub-streams or replays of
+// edge-cached sub-stream bytes. The feeds are indistinguishable to the
+// merger, which is what keeps every path byte-identical and lets the
+// unmodified stream verifiers accept a cluster-served stream exactly as
+// they accept a local one.
 //
 // Nothing in the seam is trusted: a node that lies in its chunks,
 // partial, or boundary proof produces a merged stream the user's
@@ -70,8 +85,9 @@ type ShardFeedFoot struct {
 // releases the feed's resources at any point; the merger closes every
 // feed when the stream errors or is abandoned.
 //
-// Implementations: ShardPartial (in-process), internal/cluster's wire
-// adapter over node sub-streams, and internal/cluster's replay of
+// Implementations: ShardPartial (in-process, behind a prefetching
+// wrapper when MergeLocal runs feeds in parallel), internal/cluster's
+// wire adapter over node sub-streams, and internal/cluster's replay of
 // edge-cached sub-stream bytes — all indistinguishable to the merger,
 // which is what keeps every serving path byte-identical.
 type ShardFeed interface {
@@ -83,20 +99,21 @@ type ShardFeed interface {
 
 // PrevG resolves the g digest of the record preceding the first covering
 // shard's left context — needed in exactly one corner: a globally empty
-// result whose predecessor is that context record. The distributed
-// caller implements it as an edge fetch from the preceding shard's node.
+// result whose predecessor is that context record. The in-process
+// caller reads it from the preceding slice it pinned with the cover; the
+// distributed caller from the preceding shard's edge material.
 type PrevG func() (hashx.Digest, error)
 
 // ShardPartial produces one shard's partial fan-out: the entries chunks
 // covering [lo, hi] on this slice, then a summary foot. It implements
-// ShardFeed, so a node-local merge (tests) and a remote one (the wire
-// adapter in internal/cluster) consume it identically.
+// ShardFeed; shard nodes serve it over the wire (internal/server), and
+// MergeLocal merges it in-process.
 //
 // The caller supplies the already-pinned slice and the sub-range the
 // shard covers; role resolution and the effective rewrite are recomputed
-// here exactly as the in-process fan-out's planner does, and the
-// sub-range must tile into the effective range ([lo, hi] inside it,
-// anchored at its ends when first/last are set).
+// here exactly as the serving layer's planner does, and the sub-range
+// must tile into the effective range ([lo, hi] inside it, anchored at
+// its ends when first/last are set).
 func (p *Publisher) ShardPartial(sr *core.SignedRelation, roleName string, q Query, shard int, lo, hi uint64, first, last bool, opts StreamOpts) (*ShardPartial, error) {
 	role, err := p.policy.Role(roleName)
 	if err != nil {
@@ -111,10 +128,18 @@ func (p *Publisher) ShardPartial(sr *core.SignedRelation, roleName string, q Que
 	}
 	if eff.Distinct {
 		// Duplicate elision is a cross-shard dependency: it needs one
-		// sequential pass over the merged run, which a per-shard partial
-		// cannot provide.
+		// sequential pass over the merged run, which a partial served on
+		// its own cannot provide. (MergeLocal serves DISTINCT by sharing
+		// one suppression set across its sequential local feeds.)
 		return nil, fmt.Errorf("engine: DISTINCT cannot be served as a shard partial")
 	}
+	return p.shardPartial(sr, role, eff, shard, lo, hi, first, last, opts, nil)
+}
+
+// shardPartial builds a partial for an already-resolved role and
+// effective query; seen is the DISTINCT suppression set shared by the
+// feeds of one query (nil otherwise).
+func (p *Publisher) shardPartial(sr *core.SignedRelation, role accessctl.Role, eff Query, shard int, lo, hi uint64, first, last bool, opts StreamOpts, seen map[string]bool) (*ShardPartial, error) {
 	if lo > hi || lo < eff.KeyLo || hi > eff.KeyHi {
 		return nil, fmt.Errorf("engine: sub-range [%d,%d] outside effective range [%d,%d]", lo, hi, eff.KeyLo, eff.KeyHi)
 	}
@@ -124,57 +149,28 @@ func (p *Publisher) ShardPartial(sr *core.SignedRelation, roleName string, q Que
 	if last && hi != eff.KeyHi {
 		return nil, fmt.Errorf("engine: last shard partial must end at %d, got %d", eff.KeyHi, hi)
 	}
-	a, b := sr.RangeIndices(lo, hi)
-	sp := &ShardPartial{
-		p: p, sr: sr, role: role, eff: eff,
-		shard: shard, lo: lo, hi: hi, first: first, last: last,
-		chunkRows: opts.chunkRows(), a: a, b: b, pos: a,
-		reuse: opts.ReuseChunks,
-		hAgg:  p.Obs.Hist(obs.StageAggIndex),
-	}
-	if p.Aggregate {
-		if ix := sr.AggIndex(); ix != nil && ix.Len() == len(sr.Recs) {
-			sp.idx = ix
-		} else {
-			sp.agg = p.pub.NewAggregator()
-		}
-	}
-	return sp, nil
+	return &ShardPartial{
+		cur: p.newCursor(sr, role, eff, shard, lo, hi, opts, seen),
+		lo:  lo, hi: hi, first: first, last: last,
+	}, nil
 }
 
-// ShardPartial is the node half of a distributed fan-out; see
+// ShardPartial is the shard half of a fan-out; see
 // Publisher.ShardPartial.
 type ShardPartial struct {
-	p    *Publisher
-	sr   *core.SignedRelation
-	role accessctl.Role
-	eff  Query
-
-	shard       int
+	cur         entryCursor
 	lo, hi      uint64
 	first, last bool
-
-	chunkRows int
-	a, b, pos int
-	idx       *core.AggIndex
-	agg       *sig.Aggregator
-
-	reuse    bool
-	chunkBuf Chunk
-	entryBuf []VOEntry
-
-	// hAgg records the foot's product-tree lookup (nil without a registry).
-	hAgg *obs.Histogram
-
-	err error
+	err         error
 }
 
 // Head returns the shard index and, for the first covering shard, the
 // left boundary proof of the effective range.
 func (sp *ShardPartial) Head() (ShardHead, error) {
-	head := ShardHead{Shard: sp.shard}
+	cur := &sp.cur
+	head := ShardHead{Shard: cur.shard}
 	if sp.first {
-		left, err := sp.sr.ProveBoundary(sp.p.h, sp.a-1, core.Up, sp.lo)
+		left, err := cur.sr.ProveBoundary(cur.p.h, cur.a-1, core.Up, sp.lo)
 		if err != nil {
 			return head, fmt.Errorf("engine: left boundary: %w", err)
 		}
@@ -189,45 +185,14 @@ func (sp *ShardPartial) Next() (*Chunk, error) {
 	if sp.err != nil {
 		return nil, sp.err
 	}
-	if sp.pos >= sp.b {
+	c, err := sp.cur.next()
+	switch {
+	case err != nil:
+		sp.err = err
+		return nil, err
+	case c == nil:
 		return nil, io.EOF
 	}
-	n := sp.b - sp.pos
-	if n > sp.chunkRows {
-		n = sp.chunkRows
-	}
-	var c *Chunk
-	if sp.reuse {
-		sp.chunkBuf = Chunk{Type: ChunkEntries, Shard: sp.shard, Entries: sp.entryBuf[:0]}
-		c = &sp.chunkBuf
-	} else {
-		c = &Chunk{Type: ChunkEntries, Shard: sp.shard, Entries: make([]VOEntry, 0, n)}
-	}
-	for i := sp.pos; i < sp.pos+n; i++ {
-		rec := sp.sr.Recs[i]
-		entry, err := sp.p.buildEntry(sp.sr, sp.role, sp.eff, rec, i, nil)
-		if err != nil {
-			sp.err = err
-			return nil, err
-		}
-		c.Entries = append(c.Entries, entry)
-		switch {
-		case !sp.p.Aggregate:
-			// Aliasing rec.Sig is safe: epoch slices are immutable.
-			c.Sigs = append(c.Sigs, sig.Signature(rec.Sig))
-		case sp.idx != nil:
-			// Indexed: the partial is one tree lookup in Foot.
-		default:
-			if err := sp.agg.Add(sig.Signature(rec.Sig)); err != nil {
-				sp.err = fmt.Errorf("engine: aggregation: %w", err)
-				return nil, sp.err
-			}
-		}
-	}
-	if sp.reuse {
-		sp.entryBuf = c.Entries
-	}
-	sp.pos += n
 	return c, nil
 }
 
@@ -235,47 +200,37 @@ func (sp *ShardPartial) Next() (*Chunk, error) {
 // has returned io.EOF — the partial condensed signature is only complete
 // then.
 func (sp *ShardPartial) Foot() (ShardFeedFoot, error) {
+	cur := &sp.cur
 	if sp.err != nil {
 		return ShardFeedFoot{}, sp.err
 	}
-	if sp.pos < sp.b {
+	if cur.pos < cur.b {
 		return ShardFeedFoot{}, fmt.Errorf("engine: shard partial foot before drain")
 	}
-	foot := ShardFeedFoot{Entries: uint64(sp.b - sp.a)}
-	switch {
-	case sp.idx != nil && sp.b > sp.a:
-		t0 := time.Now()
-		partial, err := sp.idx.RangeAggregate(sp.a, sp.b)
-		sp.hAgg.ObserveSince(t0)
-		if err != nil {
-			return ShardFeedFoot{}, fmt.Errorf("engine: aggregation: %w", err)
-		}
-		foot.Partial = partial
-	case sp.agg != nil && sp.agg.Count() > 0:
-		partial, err := sp.agg.Sum()
-		if err != nil {
-			return ShardFeedFoot{}, fmt.Errorf("engine: aggregation: %w", err)
-		}
-		foot.Partial = partial
+	partial, err := cur.partial()
+	if err != nil {
+		return ShardFeedFoot{}, err
 	}
+	foot := ShardFeedFoot{Entries: uint64(cur.b - cur.a), Partial: partial}
 	if sp.last {
-		right, err := sp.sr.ProveBoundary(sp.p.h, sp.b, core.Down, sp.hi)
+		right, err := cur.sr.ProveBoundary(cur.p.h, cur.b, core.Down, sp.hi)
 		if err != nil {
 			return ShardFeedFoot{}, fmt.Errorf("engine: right boundary: %w", err)
 		}
 		foot.Right = &right
 	}
-	if sp.first && sp.a == sp.b {
+	if sp.first && cur.a == cur.b {
 		// Locally empty first shard: ship the predecessor material the
 		// merger needs if the range turns out globally empty (it can only
 		// be globally empty if every covering shard is — interior shards
 		// never are).
-		predIdx := sp.a - 1
-		foot.PredSig = sig.Signature(sp.sr.Recs[predIdx].Sig)
+		predIdx := cur.a - 1
+		recs := cur.sr.Recs
+		foot.PredSig = sig.Signature(recs[predIdx].Sig)
 		switch {
 		case predIdx > 0:
-			foot.PredPrevG = sp.sr.Recs[predIdx-1].G.Clone()
-		case sp.sr.Recs[0].Kind == core.KindDelimLeft:
+			foot.PredPrevG = recs[predIdx-1].G.Clone()
+		case recs[0].Kind == core.KindDelimLeft:
 			// pred is the global left delimiter: the verifier substitutes
 			// the virtual end digest, no PredPrevG needed.
 		default:
@@ -289,12 +244,147 @@ func (sp *ShardPartial) Foot() (ShardFeedFoot, error) {
 // pinned slice, which the garbage collector releases with the value.
 func (sp *ShardPartial) Close() error { return nil }
 
+// MergeLocal answers an already-rewritten query over pinned in-process
+// shard slices: MergeShards over one local feed per covering shard.
+// slices[i] is the pinned slice of sub[i].Shard, and the sub-ranges must
+// tile the effective range in shard order (partition.Spec.Decompose
+// derives them). prevG resolves the empty-range corner when the cover
+// does not start at shard 0.
+//
+// With more than one covering shard, GOMAXPROCS > 1 and no DISTINCT,
+// each feed runs on its own goroutine a few chunks ahead of the merge,
+// so the shards' entry assembly and partial signatures proceed in
+// parallel. DISTINCT stays sequential: duplicate elision is a
+// cross-shard dependency, met by the feeds sharing one suppression set.
+// Close the returned stream when abandoning it mid-drain.
+func (p *Publisher) MergeLocal(role accessctl.Role, eff Query, slices []*core.SignedRelation, sub []partition.SubRange, prevG PrevG, opts StreamOpts) (ResultStream, error) {
+	if len(sub) == 0 || len(slices) != len(sub) {
+		return nil, fmt.Errorf("engine: %d slices for %d shard sub-ranges", len(slices), len(sub))
+	}
+	var seen map[string]bool
+	if eff.Distinct {
+		seen = map[string]bool{}
+	}
+	prefetch := len(sub) > 1 && runtime.GOMAXPROCS(0) > 1 && !eff.Distinct
+	if prefetch {
+		opts.ReuseChunks = false
+	}
+	feeds := make([]ShardFeed, len(sub))
+	for i, s := range sub {
+		if i > 0 && s.Lo != sub[i-1].Hi+1 {
+			return nil, fmt.Errorf("engine: shard sub-ranges not contiguous at shard %d", s.Shard)
+		}
+		sp, err := p.shardPartial(slices[i], role, eff, s.Shard, s.Lo, s.Hi, i == 0, i == len(sub)-1, opts, seen)
+		if err != nil {
+			return nil, err
+		}
+		feeds[i] = sp
+	}
+	if prefetch {
+		// Started only once every partial is built, so a refusal above
+		// leaves no producer behind.
+		for i, s := range sub {
+			feeds[i] = newPrefetchFeed(feeds[i], p.Obs.Hist(obs.Labeled(obs.StageSubStream, "shard", strconv.Itoa(s.Shard))))
+		}
+	}
+	return MergeShards(p.pub, p.Aggregate, eff, feeds, prevG)
+}
+
+// prefetchDepth bounds how far a prefetching feed runs ahead of the
+// merge: enough to keep its producer busy while the merger ships the
+// previous chunk, small enough that a stalled consumer bounds memory at
+// O(shards · chunk).
+const prefetchDepth = 2
+
+// errFeedClosed ends a prefetching feed that was closed mid-drain.
+var errFeedClosed = errors.New("engine: shard feed closed")
+
+// prefetchFeed drains one local feed on its own goroutine, including its
+// foot (so the partial signature is computed off the merge's goroutine
+// too). The source's Head must be safe beside its running Next, as a
+// ShardPartial's is: it reads only the partial's immutable position.
+// hWait receives, once per feed, the total time the merger spent
+// waiting on the producer.
+type prefetchFeed struct {
+	src    ShardFeed
+	ch     chan *Chunk
+	done   chan struct{}
+	closer sync.Once
+
+	// foot and err are the producer's result, written before ch closes.
+	foot ShardFeedFoot
+	err  error
+
+	hWait  *obs.Histogram
+	waitNS int64
+}
+
+func newPrefetchFeed(src ShardFeed, hWait *obs.Histogram) *prefetchFeed {
+	f := &prefetchFeed{
+		src: src, hWait: hWait,
+		ch:   make(chan *Chunk, prefetchDepth),
+		done: make(chan struct{}),
+	}
+	go f.produce()
+	return f
+}
+
+func (f *prefetchFeed) produce() {
+	defer close(f.ch)
+	for {
+		c, err := f.src.Next()
+		if err == io.EOF {
+			f.foot, f.err = f.src.Foot()
+			return
+		}
+		if err != nil {
+			f.err = err
+			return
+		}
+		select {
+		case f.ch <- c:
+		case <-f.done:
+			f.err = errFeedClosed
+			return
+		}
+	}
+}
+
+func (f *prefetchFeed) Head() (ShardHead, error) { return f.src.Head() }
+
+func (f *prefetchFeed) Next() (*Chunk, error) {
+	t0 := time.Now()
+	c, ok := <-f.ch
+	f.waitNS += int64(time.Since(t0))
+	switch {
+	case ok:
+		return c, nil
+	case f.err != nil:
+		return nil, f.err
+	}
+	return nil, io.EOF
+}
+
+func (f *prefetchFeed) Foot() (ShardFeedFoot, error) {
+	f.hWait.Observe(time.Duration(f.waitNS))
+	return f.foot, f.err
+}
+
+// Close stops the producer, waits for it to exit (discarding any chunks
+// it had buffered), then closes the source. Safe at any point, more than
+// once.
+func (f *prefetchFeed) Close() error {
+	f.closer.Do(func() { close(f.done) })
+	for range f.ch {
+	}
+	return f.src.Close()
+}
+
 // MergeShards assembles the canonical fan-out chunk stream from one feed
 // per covering shard, in hand-off order. The first feed must supply the
 // left boundary proof, the last the right one; prevG may be nil when the
 // caller can prove the empty-range corner cannot need it (a cover
-// starting at shard 0). The merged stream is byte-identical to
-// FanoutStream over the same slices and is accepted by the unmodified
+// starting at shard 0). The merged stream is accepted by the unmodified
 // stream verifiers.
 //
 // The returned stream implements io.Closer; abandoning callers should
@@ -428,7 +518,9 @@ func (st *mergeStream) next() (*Chunk, error) {
 }
 
 // footer assembles the merged footer from the first and last feeds'
-// summaries — structurally identical to fanoutStream.footer.
+// summaries: the right boundary proof, the empty-range predecessor
+// material when nothing was covered, the combined condensed signature,
+// and the per-shard continuity accounting.
 func (st *mergeStream) footer() (*Chunk, error) {
 	if st.lastFoot.Right == nil {
 		return nil, fmt.Errorf("engine: merge: last feed supplied no right boundary proof")

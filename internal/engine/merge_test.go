@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"vcqr/internal/engine"
-	"vcqr/internal/hashx"
 )
 
 // partials builds one ShardPartial feed per covering shard of q — the
@@ -28,14 +27,7 @@ func (e *fanoutEnv) partials(t *testing.T, q engine.Query, opts engine.StreamOpt
 		}
 		feeds[i] = sp
 	}
-	var prevG engine.PrevG
-	if first := sub[0].Shard; first > 0 {
-		prevG = func() (hashx.Digest, error) {
-			prev := e.set.Slices[first-1]
-			return prev.Recs[len(prev.Recs)-3].G, nil
-		}
-	}
-	return eff, feeds, prevG
+	return eff, feeds, e.prevG(sub)
 }
 
 // gobChunks encodes a drained stream chunk by chunk — the same encoding
@@ -60,11 +52,12 @@ func gobChunks(t *testing.T, st engine.ResultStream) [][]byte {
 }
 
 // TestMergeShardsByteIdentical pins the distributed fan-out invariant at
-// the engine seam: MergeShards over per-shard partials must emit a chunk
-// sequence byte-identical (gob frame bytes) to FanoutStream over the
-// same pinned slices, for full-range, sub-range, single-shard, and
-// empty-range covers.
+// the engine seam: MergeShards over plain per-shard partials (what a
+// cluster merges) must emit a chunk sequence byte-identical (gob frame
+// bytes) to the in-process path's merge over prefetching local feeds,
+// for full-range, sub-range and single-shard covers.
 func TestMergeShardsByteIdentical(t *testing.T) {
+	withProcs(t, 4)
 	e := newFanoutEnv(t, 120, 4)
 	queries := []engine.Query{
 		{Relation: e.sr.Schema.Name}, // full range, all shards
@@ -72,7 +65,7 @@ func TestMergeShardsByteIdentical(t *testing.T) {
 		{Relation: e.sr.Schema.Name, KeyLo: e.sr.Recs[40].Key(), KeyHi: e.sr.Recs[40].Key()},
 	}
 	for i, q := range queries {
-		opts := engine.StreamOpts{ChunkRows: 8, FanoutWorkers: 1}
+		opts := engine.StreamOpts{ChunkRows: 8}
 		want := gobChunks(t, e.fanout(t, q, opts))
 		eff, feeds, prevG := e.partials(t, q, opts)
 		st, err := engine.MergeShards(streamSignKey(t).Public(), true, eff, feeds, prevG)
@@ -107,7 +100,7 @@ func TestMergeShardsEmptyRange(t *testing.T) {
 	}
 	q := engine.Query{Relation: e.sr.Schema.Name, KeyLo: spanLo, KeyHi: firstOwned - 1}
 
-	opts := engine.StreamOpts{ChunkRows: 8, FanoutWorkers: 1}
+	opts := engine.StreamOpts{ChunkRows: 8}
 	want := gobChunks(t, e.fanout(t, q, opts))
 	eff, feeds, prevG := e.partials(t, q, opts)
 	st, err := engine.MergeShards(streamSignKey(t).Public(), true, eff, feeds, prevG)

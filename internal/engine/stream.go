@@ -148,8 +148,8 @@ type ShardFoot struct {
 // returns io.EOF after the footer. Single-relation streams need no
 // Close — they hold no resources beyond the relation snapshot, which
 // the garbage collector keeps alive exactly as long as the stream is
-// reachable. Fan-out streams (FanoutStream) additionally implement
-// io.Closer to release their per-shard workers; callers that may
+// reachable. Merged fan-out streams (MergeShards) additionally
+// implement io.Closer to release their shard feeds; callers that may
 // abandon a stream mid-drain should type-assert and defer Close
 // (wire.WriteStream does).
 type ResultStream interface {
@@ -169,10 +169,6 @@ type StreamOpts struct {
 	// ChunkRows bounds the entries per chunk; 0 means DefaultChunkRows,
 	// values above MaxChunkRows are clamped.
 	ChunkRows int
-	// FanoutWorkers bounds the per-shard producer goroutines of a
-	// fan-out stream (FanoutStream): 0 picks min(shards, GOMAXPROCS),
-	// 1 forces sequential production. Ignored by single-relation streams.
-	FanoutWorkers int
 	// ReuseChunks lets the stream recycle its chunk struct and entry
 	// slice across Next calls: a chunk (and its Entries/Sigs backing
 	// arrays) is valid only until the next Next. The per-entry payloads
@@ -181,8 +177,8 @@ type StreamOpts struct {
 	// is why Collect and the incremental verifiers are reuse-safe. Set
 	// by drain-style consumers (the server's /stream handler serializes
 	// each chunk before pulling the next); leave off when chunks are
-	// retained. Parallel fan-out production ignores it — chunks crossing
-	// worker channels cannot be recycled safely.
+	// retained. Prefetching local shard feeds (Publisher.MergeLocal)
+	// ignore it — chunks crossing a channel cannot be recycled safely.
 	ReuseChunks bool
 }
 
@@ -227,34 +223,14 @@ func (p *Publisher) ExecuteStreamOn(sr *core.SignedRelation, roleName string, q 
 	return p.newStreamOpts(sr, role, eff, opts), nil
 }
 
-// voStream is the pull-based chunk producer. Memory is O(ChunkRows) per
-// Next call plus the O(1) signature accumulator; the only state that can
-// grow with the result is the DISTINCT duplicate-suppression set, which
-// is inherent to the operator's semantics.
+// voStream is the pull-based chunk producer of an unpartitioned
+// relation. Memory is O(ChunkRows) per Next call plus the O(1) signature
+// accumulator; the only state that can grow with the result is the
+// DISTINCT duplicate-suppression set, which is inherent to the
+// operator's semantics.
 type voStream struct {
-	p    *Publisher
-	sr   *core.SignedRelation
-	role accessctl.Role
-	eff  Query
-
-	chunkRows int
-	a, b      int // covered record interval [a, b) in sr.Recs
-	pos       int // next record index to emit
-	seq       uint64
-	seen      map[string]bool // DISTINCT suppression, nil unless Distinct
-
-	agg *sig.Aggregator // condensed-signature accumulator (Aggregate mode)
-	// idx is the snapshot's crypto index when one is attached: per-entry
-	// signature folding is skipped and the footer's condensed signature
-	// comes from an O(log n) product-tree range query instead.
-	idx *core.AggIndex
-
-	// reuse recycles chunk + entries buffers across Next calls (see
-	// StreamOpts.ReuseChunks).
-	reuse    bool
-	chunkBuf Chunk
-	entryBuf []VOEntry
-
+	cur   entryCursor
+	seq   uint64
 	stage streamStage
 	err   error // sticky failure
 }
@@ -273,25 +249,11 @@ func (p *Publisher) newStream(sr *core.SignedRelation, role accessctl.Role, eff 
 }
 
 func (p *Publisher) newStreamOpts(sr *core.SignedRelation, role accessctl.Role, eff Query, opts StreamOpts) *voStream {
-	a, b := sr.RangeIndices(eff.KeyLo, eff.KeyHi)
-	st := &voStream{
-		p: p, sr: sr, role: role, eff: eff,
-		chunkRows: opts.chunkRows(), a: a, b: b, pos: a,
-		reuse: opts.ReuseChunks,
-	}
+	var seen map[string]bool
 	if eff.Distinct {
-		st.seen = map[string]bool{}
+		seen = map[string]bool{}
 	}
-	if p.Aggregate {
-		st.agg = p.pub.NewAggregator()
-		// The fast path: every covered entry's signature is in the index,
-		// so the footer folds ONE O(log n) range product into the
-		// aggregate instead of one multiplication per entry here.
-		if ix := sr.AggIndex(); ix != nil && ix.Len() == len(sr.Recs) {
-			st.idx = ix
-		}
-	}
-	return st
+	return &voStream{cur: p.newCursor(sr, role, eff, 0, eff.KeyLo, eff.KeyHi, opts, seen)}
 }
 
 // Next returns the next chunk, io.EOF after the footer, or the assembly
@@ -311,108 +273,72 @@ func (s *voStream) Next() (*Chunk, error) {
 }
 
 func (s *voStream) next() (*Chunk, error) {
+	cur := &s.cur
 	switch s.stage {
 	case stageHeader:
-		left, err := s.sr.ProveBoundary(s.p.h, s.a-1, core.Up, s.eff.KeyLo)
+		left, err := cur.sr.ProveBoundary(cur.p.h, cur.a-1, core.Up, cur.eff.KeyLo)
 		if err != nil {
 			return nil, fmt.Errorf("engine: left boundary: %w", err)
 		}
 		s.stage = stageEntries
-		if s.pos >= s.b {
+		if cur.a == cur.b {
 			s.stage = stageFooter
 		}
 		return &Chunk{
 			Type:      ChunkHeader,
-			Relation:  s.eff.Relation,
-			Effective: s.eff,
-			KeyLo:     s.eff.KeyLo,
-			KeyHi:     s.eff.KeyHi,
+			Relation:  cur.eff.Relation,
+			Effective: cur.eff,
+			KeyLo:     cur.eff.KeyLo,
+			KeyHi:     cur.eff.KeyHi,
 			Left:      left,
 		}, nil
 
 	case stageEntries:
-		n := s.b - s.pos
-		if n > s.chunkRows {
-			n = s.chunkRows
+		c, err := cur.next()
+		if err != nil {
+			return nil, err
 		}
-		var c *Chunk
-		if s.reuse {
-			s.chunkBuf = Chunk{Type: ChunkEntries, Entries: s.entryBuf[:0]}
-			c = &s.chunkBuf
-		} else {
-			c = &Chunk{Type: ChunkEntries, Entries: make([]VOEntry, 0, n)}
-		}
-		for i := s.pos; i < s.pos+n; i++ {
-			rec := s.sr.Recs[i]
-			entry, err := s.p.buildEntry(s.sr, s.role, s.eff, rec, i, s.seen)
-			if err != nil {
-				return nil, err
-			}
-			c.Entries = append(c.Entries, entry)
-			switch {
-			case s.idx != nil:
-				// Indexed: the footer takes the whole covered run's
-				// product from the tree in O(log n); nothing per entry.
-			case s.agg != nil:
-				if err := s.agg.Add(sig.Signature(rec.Sig)); err != nil {
-					return nil, fmt.Errorf("engine: aggregation: %w", err)
-				}
-			default:
-				// Aliasing rec.Sig is safe: epoch snapshots are immutable.
-				c.Sigs = append(c.Sigs, sig.Signature(rec.Sig))
-			}
-		}
-		if s.reuse {
-			s.entryBuf = c.Entries
-		}
-		s.pos += n
-		if s.pos >= s.b {
+		if cur.pos >= cur.b {
 			s.stage = stageFooter
 		}
 		return c, nil
 
 	case stageFooter:
-		c := &Chunk{Type: ChunkFooter}
-		right, err := s.sr.ProveBoundary(s.p.h, s.b, core.Down, s.eff.KeyHi)
+		right, err := cur.sr.ProveBoundary(cur.p.h, cur.b, core.Down, cur.eff.KeyHi)
 		if err != nil {
 			return nil, fmt.Errorf("engine: right boundary: %w", err)
 		}
-		c.Right = right
-		if s.b == s.a {
+		c := &Chunk{Type: ChunkFooter, Right: right}
+		var predSig sig.Signature
+		if cur.b == cur.a {
 			// Empty range: ship sig(pred) and g(pred-1) so the user can
 			// check the predecessor and successor are adjacent (Section
 			// 3.2 Case 2 analysis, generalized to ranges).
-			predSig := sig.Signature(s.sr.Recs[s.a-1].Sig)
-			if s.agg != nil {
-				if err := s.agg.Add(predSig); err != nil {
-					return nil, fmt.Errorf("engine: aggregation: %w", err)
-				}
-			} else {
+			predSig = sig.Signature(cur.sr.Recs[cur.a-1].Sig)
+			if cur.a-1 > 0 {
+				c.PredPrevG = cur.sr.Recs[cur.a-2].G.Clone()
+			}
+			if !cur.p.Aggregate {
 				c.Sigs = []sig.Signature{predSig}
 			}
-			if s.a-1 > 0 {
-				c.PredPrevG = s.sr.Recs[s.a-2].G.Clone()
-			}
 		}
-		if s.idx != nil && s.b > s.a {
-			// The covered run's condensed signature in O(log n)
-			// multiplications — this one line is the tentpole speedup.
-			t0 := time.Now()
-			rs, err := s.idx.RangeAggregate(s.a, s.b)
-			s.p.Obs.Hist(obs.StageAggIndex).ObserveSince(t0)
+		if cur.p.Aggregate {
+			partial, err := cur.partial()
 			if err != nil {
+				return nil, err
+			}
+			agg := cur.p.pub.NewAggregator()
+			for _, part := range []sig.Signature{partial, predSig} {
+				if part == nil {
+					continue
+				}
+				if err := agg.Add(part); err != nil {
+					return nil, fmt.Errorf("engine: aggregation: %w", err)
+				}
+			}
+			if c.AggSig, err = agg.Sum(); err != nil {
 				return nil, fmt.Errorf("engine: aggregation: %w", err)
 			}
-			if err := s.agg.Add(rs); err != nil {
-				return nil, fmt.Errorf("engine: aggregation: %w", err)
-			}
-		}
-		if s.agg != nil {
-			agg, err := s.agg.Sum()
-			if err != nil {
-				return nil, fmt.Errorf("engine: aggregation: %w", err)
-			}
-			c.AggSig = agg
 		}
 		s.stage = stageDone
 		return c, nil
@@ -420,6 +346,115 @@ func (s *voStream) next() (*Chunk, error) {
 	default:
 		return nil, io.EOF
 	}
+}
+
+// entryCursor assembles the entries chunks of one covered record run
+// [a, b) of one slice. It is the engine's only chunk-assembly loop: an
+// unpartitioned stream (voStream) and one shard's contribution to a
+// merged fan-out (ShardPartial) each advance one.
+type entryCursor struct {
+	p     *Publisher
+	sr    *core.SignedRelation
+	role  accessctl.Role
+	eff   Query
+	shard int // stamped on every chunk; 0 for unpartitioned streams
+
+	chunkRows int
+	a, b      int // covered record interval [a, b) in sr.Recs
+	pos       int // next record index to emit
+	// seen is the DISTINCT duplicate-suppression set (nil unless
+	// Distinct); the local feeds of one merged query share it.
+	seen map[string]bool
+
+	// In condensed-signature mode idx is the slice's crypto index when
+	// one covers every record — the run's partial signature is then one
+	// O(log n) product-tree lookup and nothing is folded per entry — and
+	// fold accumulates per-entry signatures otherwise. Both are nil when
+	// signatures travel per entry.
+	idx  *core.AggIndex
+	fold *sig.Aggregator
+
+	// reuse recycles chunk + entries buffers across next calls (see
+	// StreamOpts.ReuseChunks).
+	reuse    bool
+	chunkBuf Chunk
+	entryBuf []VOEntry
+}
+
+// newCursor positions a cursor on the records of sr within [lo, hi].
+func (p *Publisher) newCursor(sr *core.SignedRelation, role accessctl.Role, eff Query, shard int, lo, hi uint64, opts StreamOpts, seen map[string]bool) entryCursor {
+	a, b := sr.RangeIndices(lo, hi)
+	c := entryCursor{
+		p: p, sr: sr, role: role, eff: eff, shard: shard,
+		chunkRows: opts.chunkRows(), a: a, b: b, pos: a, seen: seen,
+		reuse: opts.ReuseChunks,
+	}
+	if p.Aggregate {
+		if ix := sr.AggIndex(); ix != nil && ix.Len() == len(sr.Recs) {
+			c.idx = ix
+		} else {
+			c.fold = p.pub.NewAggregator()
+		}
+	}
+	return c
+}
+
+// next returns the run's next entries chunk, or nil once it is
+// exhausted.
+func (c *entryCursor) next() (*Chunk, error) {
+	if c.pos >= c.b {
+		return nil, nil
+	}
+	n := min(c.b-c.pos, c.chunkRows)
+	var ch *Chunk
+	if c.reuse {
+		c.chunkBuf = Chunk{Type: ChunkEntries, Shard: c.shard, Entries: c.entryBuf[:0]}
+		ch = &c.chunkBuf
+	} else {
+		ch = &Chunk{Type: ChunkEntries, Shard: c.shard, Entries: make([]VOEntry, 0, n)}
+	}
+	for i := c.pos; i < c.pos+n; i++ {
+		rec := c.sr.Recs[i]
+		entry, err := c.p.buildEntry(c.sr, c.role, c.eff, rec, i, c.seen)
+		if err != nil {
+			return nil, err
+		}
+		ch.Entries = append(ch.Entries, entry)
+		switch {
+		case !c.p.Aggregate:
+			// Aliasing rec.Sig is safe: epoch slices are immutable.
+			ch.Sigs = append(ch.Sigs, sig.Signature(rec.Sig))
+		case c.fold != nil:
+			if err := c.fold.Add(sig.Signature(rec.Sig)); err != nil {
+				return nil, fmt.Errorf("engine: aggregation: %w", err)
+			}
+		}
+	}
+	if c.reuse {
+		c.entryBuf = ch.Entries
+	}
+	c.pos += n
+	return ch, nil
+}
+
+// partial returns the condensed signature over the whole run: nil when
+// the run is empty or signatures travel per entry. Only meaningful once
+// next has returned nil.
+func (c *entryCursor) partial() (sig.Signature, error) {
+	var sum sig.Signature
+	var err error
+	switch {
+	case c.idx != nil && c.b > c.a:
+		t0 := time.Now()
+		sum, err = c.idx.RangeAggregate(c.a, c.b)
+		c.p.Obs.Hist(obs.StageAggIndex).ObserveSince(t0)
+	case c.fold != nil && c.fold.Count() > 0:
+		sum, err = c.fold.Sum()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("engine: aggregation: %w", err)
+	}
+	return sum, nil
 }
 
 // Collect drains a stream into the materialized Result the non-streaming

@@ -194,12 +194,12 @@ const (
 	StageStreamTotal  = "stream_total"      // whole-stream drain, first byte to footer
 	StageAggIndex     = "agg_index"         // engine: product-tree range aggregate
 	StageSeamCheck    = "seam_check"        // cluster: hand-off / seam proof checks
-	StageFanoutMerge  = "fanout_merge"      // engine/cluster: cross-shard merge wait
+	StageFanoutMerge  = "fanout_merge"      // coordinator: merged stream, open to footer
 	StageWireEncode   = "wire_encode"       // server: chunk frame encode + flush
 	StageVerify       = "verify"            // client: per-chunk verifier cost
 	StageQueryTotal   = "query_total"       // server: materialized query end to end
 	StageDeltaApply   = "delta_apply"       // server: single-process delta ingest
-	StageSubStream    = "substream"         // coordinator: per-node shard sub-stream
+	StageSubStream    = "substream"         // per shard sub-stream: merger's wait on one feed (coordinator, server), serve time (node)
 	StagePinFeeds     = "pin_feeds"         // coordinator: epoch-pinned fan-out open
 	StageDeltaPrepare = "delta_prepare"     // cluster: two-phase delta, prepare
 	StageDeltaMirror  = "delta_mirror"      // cluster: two-phase delta, mirror fixes

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"vcqr/internal/delta"
 	"vcqr/internal/engine"
 	"vcqr/internal/obs"
 	"vcqr/internal/wire"
@@ -34,15 +33,15 @@ import (
 // clients, so the transport needs no hardening beyond basic hygiene.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/query", capBody(maxQueryBody, wire.QueryHandler(s.Query)))
-	mux.Handle("/batch", capBody(maxBatchBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/query", wire.CapBody(wire.MaxQueryBody, wire.QueryHandler(s.Query)))
+	mux.Handle("/batch", wire.CapBody(wire.MaxBatchBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
 		var req wire.BatchRequest
 		if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			http.Error(w, err.Error(), wire.BodyStatus(err))
 			return
 		}
 		results, errs := s.QueryBatch(req.Role, req.Queries)
@@ -56,22 +55,21 @@ func (s *Server) Handler() http.Handler {
 		}
 		writeGob(w, resp)
 	})))
-	mux.Handle("/stream", capBody(maxQueryBody, http.HandlerFunc(s.handleStream)))
-	mux.Handle("/delta", capBody(maxDeltaBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/stream", wire.CapBody(wire.MaxQueryBody, http.HandlerFunc(s.handleStream)))
+	mux.Handle("/delta", wire.CapBody(wire.MaxDeltaBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		var resp wire.DeltaResponse
 		blob, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), wire.BodyStatus(err))
+			return
+		}
+		var resp wire.DeltaResponse
+		d, err := wire.DecodeDelta(blob)
 		if err == nil {
-			var d delta.Delta
-			d, err = wire.DecodeDelta(blob)
-			if err == nil {
-				var epoch uint64
-				epoch, err = s.ApplyDelta(d)
-				resp.Epoch = epoch
-			}
+			resp.Epoch, err = s.ApplyDelta(d)
 		}
 		if err != nil {
 			resp.Err = err.Error()
@@ -201,7 +199,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	var req wire.StreamRequest
 	if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), wire.BodyStatus(err))
 		return
 	}
 	// Span covers the whole request; the trace ID is the client's when it
@@ -277,24 +275,6 @@ func writeGob(w http.ResponseWriter, v any) {
 	if err := gob.NewEncoder(w).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-// Request body caps. Queries and batches are small by construction; a
-// delta batch legitimately carries signed records but still bounded —
-// anything larger than this should ship as a snapshot, not a delta.
-const (
-	maxQueryBody = 1 << 20
-	maxBatchBody = 8 << 20
-	maxDeltaBody = 256 << 20
-)
-
-// capBody bounds an untrusted request body so one client cannot buffer
-// the publisher into OOM.
-func capBody(limit int64, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Body = http.MaxBytesReader(w, r.Body, limit)
-		next.ServeHTTP(w, r)
-	})
 }
 
 // HTTPServer is a running listener over a Server, with graceful

@@ -13,6 +13,7 @@ import (
 	"vcqr/internal/core"
 	"vcqr/internal/delta"
 	"vcqr/internal/engine"
+	"vcqr/internal/hashx"
 	"vcqr/internal/partition"
 	"vcqr/internal/relation"
 )
@@ -133,7 +134,8 @@ func (s *Server) AddPartition(set *partition.Set, validate bool) error {
 
 // pinnedCover is the epoch set one partitioned query runs against.
 type pinnedCover struct {
-	slices []engine.ShardSlice
+	// slices[i] is the pinned slice of the i-th covering shard.
+	slices []*core.SignedRelation
 	// prev is the slice preceding the cover (nil when the cover starts
 	// at shard 0), pinned together with the cover so the empty-range
 	// predecessor material — the one thing a fan-out may need from it —
@@ -156,15 +158,15 @@ const pinRetries = 32
 func (s *Server) pinCover(pt *partTable, sub []partition.SubRange) (pinnedCover, error) {
 	name := pt.spec.Relation
 	for attempt := 0; attempt < pinRetries; attempt++ {
-		pc := pinnedCover{slices: make([]engine.ShardSlice, len(sub))}
+		pc := pinnedCover{slices: make([]*core.SignedRelation, len(sub))}
 		ok := true
 		for i, sr := range sub {
 			sl, _, found := s.store.View(shardName(name, sr.Shard))
 			if !found {
 				return pinnedCover{}, fmt.Errorf("%w: %q", engine.ErrUnknownRelation, name)
 			}
-			pc.slices[i] = engine.ShardSlice{Shard: sr.Shard, SR: sl, Lo: sr.Lo, Hi: sr.Hi}
-			if i > 0 && !partition.HandoffOK(pc.slices[i-1].SR, sl) {
+			pc.slices[i] = sl
+			if i > 0 && !partition.HandoffOK(pc.slices[i-1], sl) {
 				ok = false
 				break
 			}
@@ -174,7 +176,7 @@ func (s *Server) pinCover(pt *partTable, sub []partition.SubRange) (pinnedCover,
 			if !found {
 				return pinnedCover{}, fmt.Errorf("%w: %q", engine.ErrUnknownRelation, name)
 			}
-			if partition.HandoffOK(prev, pc.slices[0].SR) {
+			if partition.HandoffOK(prev, pc.slices[0]) {
 				pc.prev = prev
 			} else {
 				ok = false
@@ -189,16 +191,19 @@ func (s *Server) pinCover(pt *partTable, sub []partition.SubRange) (pinnedCover,
 	return pinnedCover{}, ErrShardPin
 }
 
-// prevPin exposes the cover's pinned preceding slice to the fan-out,
-// recording use so the caller can keep cache keys honest (a VO that
-// consulted prev depends on more than the covering shard's epoch).
-func (pc pinnedCover) prevPin(used *bool) engine.PrevPin {
+// prevG exposes the cover's pinned preceding slice to the merge: the g
+// digest of the record before the first covering slice's left context.
+// It records use in *used so the caller keeps cache keys honest (a VO
+// that consulted prev depends on more than the covering shard's epoch).
+func (pc pinnedCover) prevG(used *bool) engine.PrevG {
 	if pc.prev == nil {
 		return nil
 	}
-	return func() (*core.SignedRelation, bool) {
+	return func() (hashx.Digest, error) {
 		*used = true
-		return pc.prev, true
+		// Every hosted slice owns at least one record (ErrShardUnderflow),
+		// so the last owned record precedes the right context.
+		return pc.prev.Recs[len(pc.prev.Recs)-3].G.Clone(), nil
 	}
 }
 
@@ -228,18 +233,25 @@ func (s *Server) planPartitioned(pt *partTable, roleName string, q engine.Query)
 }
 
 // partitionedStream plans, pins and launches a fan-out stream for one
-// query. prevUsed reports whether the lazy preceding-shard pin was
-// consulted (it taints single-shard cacheability).
-func (s *Server) partitionedStream(pt *partTable, roleName string, q engine.Query, opts engine.StreamOpts, prevUsed *bool) (engine.ResultStream, error) {
+// query.
+func (s *Server) partitionedStream(pt *partTable, roleName string, q engine.Query, opts engine.StreamOpts) (engine.ResultStream, error) {
 	role, eff, sub, err := s.planPartitioned(pt, roleName, q)
 	if err != nil {
 		return nil, err
 	}
+	var prevUsed bool // streams bypass the VO cache
+	return s.mergeCover(pt, role, eff, sub, opts, &prevUsed)
+}
+
+// mergeCover pins the cover's epoch slices and merges them as local
+// shard feeds. prevUsed reports whether the preceding slice was
+// consulted (it taints single-shard cacheability).
+func (s *Server) mergeCover(pt *partTable, role accessctl.Role, eff engine.Query, sub []partition.SubRange, opts engine.StreamOpts, prevUsed *bool) (engine.ResultStream, error) {
 	pc, err := s.pinCover(pt, sub)
 	if err != nil {
 		return nil, err
 	}
-	return s.exec.FanoutStream(role, eff, pc.slices, pc.prevPin(prevUsed), opts)
+	return s.exec.MergeLocal(role, eff, pc.slices, sub, pc.prevG(prevUsed), opts)
 }
 
 // queryPartitioned answers a materialized query on a partitioned
@@ -272,13 +284,8 @@ func (s *Server) queryPartitioned(pt *partTable, roleName string, q engine.Query
 			return res, nil
 		}
 	}
-	pc, err := s.pinCover(pt, sub)
-	if err != nil {
-		s.errors.Add(1)
-		return nil, err
-	}
 	var prevUsed bool
-	st, err := s.exec.FanoutStream(role, eff, pc.slices, pc.prevPin(&prevUsed), engine.StreamOpts{})
+	st, err := s.mergeCover(pt, role, eff, sub, engine.StreamOpts{}, &prevUsed)
 	if err != nil {
 		s.errors.Add(1)
 		return nil, err

@@ -2,7 +2,9 @@ package server_test
 
 import (
 	"errors"
+	"io"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"vcqr/internal/accessctl"
@@ -15,6 +17,7 @@ import (
 	"vcqr/internal/server"
 	"vcqr/internal/verify"
 	"vcqr/internal/wire"
+	"vcqr/internal/workload"
 )
 
 // partFix is a running partitioned server plus the owner-side master
@@ -398,5 +401,103 @@ func TestPartitionedBatch(t *testing.T) {
 	}
 	if total != 64 {
 		t.Fatalf("batch verified %d rows total, want 64", total)
+	}
+}
+
+// TestPartitionedDistinct: DISTINCT over a multi-shard partitioned
+// relation, through both the stream and the materialized path, must be
+// accepted by the unmodified verifiers and release exactly the rows an
+// unpartitioned DISTINCT execution releases. The relation is built with
+// many duplicate keys and an empty payload, so duplicates project
+// identically and the answer really elides some.
+func TestPartitionedDistinct(t *testing.T) {
+	h := hashx.New()
+	rel, err := workload.Uniform(workload.UniformConfig{N: 120, L: 0, U: 48, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewParams(0, 48, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := core.Build(h, signKey(t), p, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := partition.Split(sr, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	role := accessctl.Role{Name: "all"}
+	policy := accessctl.NewPolicy(role)
+	s := server.New(server.Config{Hasher: h, Pub: signKey(t).Public(), Policy: policy})
+	t.Cleanup(s.Close)
+	if err := s.AddPartition(set, true); err != nil {
+		t.Fatal(err)
+	}
+	v := verify.New(h, signKey(t).Public(), sr.Params, sr.Schema)
+	q := engine.Query{Relation: "Uniform", Project: []string{"Payload"}, Distinct: true}
+
+	ref := engine.NewPublisher(h, signKey(t).Public(), policy)
+	if err := ref.AddRelation(sr, false); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Execute("all", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows, err := v.VerifyResult(q, role, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantRows) >= sr.Len() {
+		t.Fatalf("fixture elides nothing: %d distinct rows of %d records", len(wantRows), sr.Len())
+	}
+
+	res, err := s.Query("all", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := v.VerifyResult(q, role, res)
+	if err != nil {
+		t.Fatalf("partitioned DISTINCT result rejected: %v", err)
+	}
+	if !reflect.DeepEqual(rows, wantRows) {
+		t.Fatalf("partitioned DISTINCT released %d rows, unpartitioned %d", len(rows), len(wantRows))
+	}
+
+	st, err := s.QueryStream("all", q, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, err := v.NewShardStreamVerifier(set.Spec, q, role)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streamed []engine.Row
+	shards := map[int]bool{}
+	for {
+		c, err := st.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[c.Shard] = true
+		released, err := sv.Consume(c)
+		if err != nil {
+			t.Fatalf("partitioned DISTINCT stream rejected: %v", err)
+		}
+		streamed = append(streamed, released...)
+	}
+	if err := sv.Finish(); err != nil {
+		t.Fatalf("partitioned DISTINCT stream rejected at finish: %v", err)
+	}
+	if len(shards) != 4 {
+		t.Fatalf("stream touched %d shards, want 4", len(shards))
+	}
+	if !reflect.DeepEqual(streamed, wantRows) {
+		t.Fatalf("partitioned DISTINCT stream released %d rows, unpartitioned %d", len(streamed), len(wantRows))
 	}
 }

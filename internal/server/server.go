@@ -282,8 +282,7 @@ func (s *Server) QueryStreamOpts(role string, q engine.Query, opts engine.Stream
 	s.queries.Add(1)
 	s.streams.Add(1)
 	if pt := s.partFor(q.Relation); pt != nil {
-		var prevUsed bool
-		st, err := s.partitionedStream(pt, role, q, opts, &prevUsed)
+		st, err := s.partitionedStream(pt, role, q, opts)
 		if err != nil {
 			s.errors.Add(1)
 			return nil, err
@@ -305,8 +304,8 @@ func (s *Server) QueryStreamOpts(role string, q engine.Query, opts engine.Stream
 
 // timed wraps a result stream so per-chunk assembly and whole-stream
 // drain latency land in the registry. The wrapper changes no chunk
-// bytes; it forwards Close so abandoning consumers still release
-// fan-out workers.
+// bytes; it forwards Close so abandoning consumers still release the
+// merge's shard feeds.
 func (s *Server) timed(st engine.ResultStream) *timedStream {
 	return &timedStream{st: st, hChunk: s.hChunk, hTotal: s.hStream, start: time.Now()}
 }
@@ -335,7 +334,7 @@ func (t *timedStream) Next() (*engine.Chunk, error) {
 	return c, err
 }
 
-// Close forwards to the underlying stream (fan-out worker release).
+// Close forwards to the underlying stream (shard feed release).
 func (t *timedStream) Close() error {
 	if c, ok := t.st.(io.Closer); ok {
 		return c.Close()

@@ -84,11 +84,11 @@ func (f *shardFix) chunks(t *testing.T, chunkRows int) []*engine.Chunk {
 		t.Fatal(err)
 	}
 	sub := f.set.Spec.Decompose(eff.KeyLo, eff.KeyHi)
-	slices := make([]engine.ShardSlice, len(sub))
+	slices := make([]*core.SignedRelation, len(sub))
 	for i, s := range sub {
-		slices[i] = engine.ShardSlice{Shard: s.Shard, SR: f.set.Slices[s.Shard], Lo: s.Lo, Hi: s.Hi}
+		slices[i] = f.set.Slices[s.Shard]
 	}
-	st, err := f.pub.FanoutStream(f.role, eff, slices, nil, engine.StreamOpts{ChunkRows: chunkRows})
+	st, err := f.pub.MergeLocal(f.role, eff, slices, sub, nil, engine.StreamOpts{ChunkRows: chunkRows})
 	if err != nil {
 		t.Fatal(err)
 	}

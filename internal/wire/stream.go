@@ -137,8 +137,9 @@ type StreamRequest struct {
 // Publisher-side errors after the first frame are sent in-band as a
 // ChunkError frame — the HTTP status is long gone by then.
 func WriteStream(w io.Writer, st engine.ResultStream) error {
-	// Fan-out streams hold per-shard workers; release them if the drain
-	// aborts early (a fully drained stream's Close is a no-op).
+	// Merged fan-out streams hold shard feeds (producer goroutines,
+	// node connections); release them if the drain aborts early (a
+	// fully drained stream's Close costs nothing).
 	if c, ok := st.(io.Closer); ok {
 		defer c.Close()
 	}

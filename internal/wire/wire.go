@@ -213,7 +213,7 @@ func QueryHandler(exec func(role string, q engine.Query) (*engine.Result, error)
 		}
 		var req Request
 		if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			http.Error(w, err.Error(), BodyStatus(err))
 			return
 		}
 		var resp Response
