@@ -3,6 +3,8 @@ package cache_test
 import (
 	"bytes"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -344,6 +346,62 @@ func TestSingleflightCollapse(t *testing.T) {
 	if st := e.cl.Stats(); st.Collapsed != waiters || st.Fills != 1 {
 		t.Fatalf("singleflight counters off: %+v", st)
 	}
+}
+
+// TestCommittedFlightJoinableUntilPut: between Commit and the moment
+// the peer has stored the pushed entry, a lookup whose peer Get misses
+// must collapse onto the finished flight, not lead a second origin fill.
+// A gated peer holds the Put open to make that window deterministic.
+func TestCommittedFlightJoinableUntilPut(t *testing.T) {
+	srv := cache.NewServer(0)
+	putHeld, release := make(chan struct{}), make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if f, err := wire.ReadCacheFrame(bytes.NewReader(body)); err == nil && f.Put != nil {
+			close(putHeld)
+			<-release
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	cl := cache.NewClient(cache.Config{Peers: []string{ts.URL}, MinAccesses: 1})
+
+	k := subKey(3)
+	_, fill := cl.Lookup(k)
+	if fill == nil {
+		t.Fatal("cold lookup: no fill")
+	}
+	fill.Write(subStreamBytes(t, k.Shard))
+	fill.Commit()
+	<-putHeld
+
+	hit, late := cl.Lookup(k)
+	close(release)
+	if late != nil {
+		late.Abort()
+		t.Fatal("lookup during the in-flight Put led a second fill")
+	}
+	if hit == nil || len(hit.Chunks) != 1 {
+		t.Fatalf("lookup during the in-flight Put got %+v, want the committed entry", hit)
+	}
+	if st := cl.Stats(); st.Collapsed != 1 || st.Fills != 1 || st.Misses != 2 {
+		t.Fatalf("counters off: %+v", st)
+	}
+
+	// Once the Put has landed the flight is gone and the peer serves.
+	waitFor(t, "put to land", func() bool { return srv.Store().Stats().Entries == 1 })
+	waitFor(t, "peer hit", func() bool {
+		hit, fill := cl.Lookup(k)
+		if fill != nil {
+			t.Fatal("lookup after the Put landed led a fill")
+		}
+		return hit != nil && cl.Stats().Hits == 1
+	})
 }
 
 // TestAdmissionGate: below the access threshold a committed fill still

@@ -302,7 +302,10 @@ func (f *Fill) Write(p []byte) (int, error) {
 
 // Commit publishes the buffered bytes to collapsed waiters and, when the
 // key is admitted (or anyone waited), pushes the entry to its peer
-// asynchronously.
+// asynchronously. A pushed flight stays joinable until the peer's Put
+// returns: a lookup whose peer Get missed while the bytes were still in
+// transit collapses onto the finished flight instead of leading a
+// second origin fill.
 func (f *Fill) Commit() {
 	f.mu.Lock()
 	if f.settled {
@@ -315,10 +318,8 @@ func (f *Fill) Commit() {
 	f.mu.Unlock()
 
 	c := f.c
-	c.mu.Lock()
-	delete(c.flights, f.ks)
-	c.mu.Unlock()
 	if over || len(b) == 0 {
+		c.endFlight(f.ks)
 		c.fillDrops.Add(1)
 		close(f.fl.done)
 		return
@@ -327,15 +328,18 @@ func (f *Fill) Commit() {
 	f.fl.bytes, f.fl.sum = b, sum
 	close(f.fl.done)
 	if !f.admit && f.fl.waiters.Load() == 0 {
+		c.endFlight(f.ks)
 		c.admissionsDenied.Add(1)
 		return
 	}
 	peer := c.peerFor(f.ks)
 	if peer == nil {
+		c.endFlight(f.ks)
 		return
 	}
 	c.fills.Add(1)
 	go func() {
+		defer c.endFlight(f.ks)
 		t0 := time.Now()
 		_, err := peer.CacheOp(&wire.CacheFrame{Put: &wire.CachePut{
 			Key:      f.ks,
@@ -363,11 +367,17 @@ func (f *Fill) Abort() {
 	f.buf.Reset()
 	f.mu.Unlock()
 	c := f.c
-	c.mu.Lock()
-	delete(c.flights, f.ks)
-	c.mu.Unlock()
+	c.endFlight(f.ks)
 	c.fillDrops.Add(1)
 	close(f.fl.done)
+}
+
+// endFlight removes a settled flight from the singleflight table; the
+// next miss on its key leads a fresh fill.
+func (c *Client) endFlight(ks string) {
+	c.mu.Lock()
+	delete(c.flights, ks)
+	c.mu.Unlock()
 }
 
 // Hit is a validated sub-stream entry decoded for replay into the merge.

@@ -65,18 +65,22 @@ func Build(h *hashx.Hasher, key *sig.PrivateKey, p Params, rel *relation.Relatio
 	// parallel. Signing then needs the neighbours' g digests, so it runs
 	// as a second parallel pass. The result is byte-identical to a
 	// sequential build (everything is deterministic and indexed).
-	if err := parallelRange(rel.Len(), func(i int) error {
-		rec, err := makeRecord(h, p, rel.Tuples[i])
-		if err != nil {
-			return err
+	if err := ParallelRange(h, rel.Len(), 1, func(h *hashx.Hasher, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			rec, err := makeRecord(h, p, rel.Tuples[i])
+			if err != nil {
+				return err
+			}
+			sr.Recs[i+1] = rec
 		}
-		sr.Recs[i+1] = rec
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	if err := parallelRange(len(sr.Recs), func(i int) error {
-		sr.Recs[i].Sig = key.Sign(sr.sigDigest(h, i))
+	if err := ParallelRange(h, len(sr.Recs), 1, func(h *hashx.Hasher, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			sr.Recs[i].Sig = key.Sign(sr.sigDigest(h, i))
+		}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -84,53 +88,52 @@ func Build(h *hashx.Hasher, key *sig.PrivateKey, p Params, rel *relation.Relatio
 	return sr, nil
 }
 
-// parallelRange runs fn(0..n-1) across a bounded worker pool, returning
-// the first error. Small inputs run inline.
-func parallelRange(n int, fn func(i int) error) error {
+// ParallelRange is the one data-parallel helper of the scheme's hot
+// paths, owner signing and client verification. It splits [0,n) into
+// contiguous blocks, one per worker, with min(GOMAXPROCS, n/grain)
+// workers so that no block is smaller than grain, and runs fn(w, lo, hi)
+// on each block. w is a Fork of h: workers count hash operations without
+// contending on one counter, and the forks are joined back into h before
+// ParallelRange returns, so h.Ops() totals what a sequential pass would
+// count. With a single worker fn(h, 0, n) runs inline on the caller's
+// goroutine.
+//
+// Every block runs to its own end (or its first error); the error
+// returned is the lowest-indexed block's.
+func ParallelRange(h *hashx.Hasher, n, grain int, fn func(w *hashx.Hasher, lo, hi int) error) error {
 	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+	if grain < 1 {
+		grain = 1
+	}
+	if workers > n/grain {
+		workers = n / grain
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
+		return fn(h, 0, n)
 	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		next int
-		fail error
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
+	forks := make([]*hashx.Hasher, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for b := 1; b < workers; b++ {
+		forks[b] = h.Fork()
+		go func(b int) {
 			defer wg.Done()
-			for {
-				mu.Lock()
-				if fail != nil || next >= n {
-					mu.Unlock()
-					return
-				}
-				i := next
-				next++
-				mu.Unlock()
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if fail == nil {
-						fail = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
+			errs[b] = fn(forks[b], b*n/workers, (b+1)*n/workers)
+		}(b)
 	}
+	forks[0] = h.Fork()
+	errs[0] = fn(forks[0], 0, n/workers)
 	wg.Wait()
-	return fail
+	for _, w := range forks {
+		h.Join(w)
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // makeRecord derives the digest material for a data tuple.

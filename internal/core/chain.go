@@ -22,15 +22,23 @@ type digitChains struct {
 	chains [][]hashx.Digest
 }
 
-// newDigitChains computes the chains for a key in one direction.
+// newDigitChains computes the chains for a key in one direction. All
+// chain values live in one backing buffer; chains[j][c] are views into
+// it, capped at their own width so an append can never overwrite a
+// neighbour.
 func newDigitChains(h *hashx.Hasher, p Params, key uint64, dir Direction) *digitChains {
 	maxCount := int(2*p.BP.B) - 1
+	size := h.Size()
+	buf := make([]byte, 0, p.BP.Digits*(maxCount+1)*size)
+	last := func() hashx.Digest { return hashx.Digest(buf[len(buf)-size : len(buf) : len(buf)]) }
 	dc := &digitChains{p: p, key: key, dir: dir, chains: make([][]hashx.Digest, p.BP.Digits)}
 	for j := 0; j < p.BP.Digits; j++ {
 		chain := make([]hashx.Digest, maxCount+1)
-		chain[0] = h.First(preimage(key, j, dir))
+		buf = h.AppendIterate(buf, preimage(key, j, dir), 0)
+		chain[0] = last()
 		for c := 1; c <= maxCount; c++ {
-			chain[c] = h.Next(chain[c-1])
+			buf = h.AppendIterateFrom(buf, chain[c-1], 1)
+			chain[c] = last()
 		}
 		dc.chains[j] = chain
 	}
@@ -45,20 +53,26 @@ func (dc *digitChains) tip(j int, count uint64) hashx.Digest {
 	return dc.chains[j][count]
 }
 
+// tipBufSize is the stack buffer a representation's concatenated chain
+// tips are laid out in before hashing: room for 64 digits at the default
+// digest width. Wider representations spill to the heap.
+const tipBufSize = 64 * hashx.DefaultSize
+
 // repDigest computes the digest of one representation: the hash over the
 // concatenated per-digit chain tips, h(h^{d_0}(r|0) | .. | h^{d_m}(r|m)).
 // Digit positions marked basep.InvalidDigit (the undefined component of an
 // invalid preferred representation) are dropped from the concatenation, as
 // prescribed in Section 5.1.
 func (dc *digitChains) repDigest(h *hashx.Hasher, rep basep.Rep) hashx.Digest {
-	parts := make([][]byte, 0, len(rep.Digits))
+	var stack [tipBufSize]byte
+	tips := stack[:0]
 	for j, d := range rep.Digits {
 		if d == basep.InvalidDigit {
 			continue
 		}
-		parts = append(parts, dc.tip(j, d))
+		tips = append(tips, dc.tip(j, d)...)
 	}
-	return h.Hash(parts...)
+	return h.Hash(tips)
 }
 
 // chainSide is everything the owner derives for one (record, direction):
@@ -125,11 +139,12 @@ func entryCombined(h *hashx.Hasher, p Params, key uint64, dir Direction, repRoot
 	if err != nil {
 		return nil, err
 	}
-	parts := make([][]byte, len(canon.Digits))
+	var stack [tipBufSize]byte
+	tips := stack[:0]
 	for j, d := range canon.Digits {
-		parts[j] = h.Iterate(preimage(key, j, dir), d)
+		tips = h.AppendIterate(tips, preimage(key, j, dir), d)
 	}
-	return combineChain(h, h.Hash(parts...), repRoot), nil
+	return combineChain(h, h.Hash(tips), repRoot), nil
 }
 
 // ChainProof is the publisher's proof that a *hidden* boundary key lies
@@ -222,14 +237,15 @@ func verifyChain(h *hashx.Hasher, p Params, proof ChainProof, dir Direction, bou
 	if len(proof.Intermediates) != p.BP.Digits {
 		return nil, fmt.Errorf("%w: %d intermediates, want %d", ErrProofShape, len(proof.Intermediates), p.BP.Digits)
 	}
-	parts := make([][]byte, p.BP.Digits)
+	var stack [tipBufSize]byte
+	tips := stack[:0]
 	for j, d := range proof.Intermediates {
 		if len(d) != h.Size() {
 			return nil, fmt.Errorf("%w: intermediate %d has width %d", ErrProofShape, j, len(d))
 		}
-		parts[j] = h.IterateFrom(d, exps[j])
+		tips = h.AppendIterateFrom(tips, d, exps[j])
 	}
-	repDig := h.Hash(parts...)
+	repDig := h.Hash(tips)
 	m := p.BP.M()
 	if proof.Canonical {
 		if len(proof.RepRoot) != h.Size() {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"vcqr/internal/costmodel"
 	"vcqr/internal/hashx"
@@ -15,6 +16,13 @@ type CuserRow struct {
 	Q            int
 	PaperClaimMs float64 // the numbers printed in Section 6.2
 	ModelMs      float64 // formula (5) at paper constants
+	// HashNs is the measured cost of one hash operation on this machine,
+	// PredictedMs formula (5) at the measured Chash and Csign, and
+	// VerifyMs the measured wall time of the verification itself (zero
+	// when the relation is too small for Q).
+	HashNs      float64
+	PredictedMs float64
+	VerifyMs    float64
 	// MeasuredHashes compares the implementation's hash count for a real
 	// greater-than verification against the formula's hash count; the
 	// ratio is the honest accounting of our two-sided g(r) (the paper's
@@ -36,12 +44,16 @@ func (e *Env) Cuser() ([]CuserRow, error) {
 	}
 	pub, role := e.publisherFor(h, sr)
 	v := verify.New(h, e.Key.Public(), sr.Params, sr.Schema)
+	measured := model
+	measured.Chash, measured.Csign = MeasureConstants(e.Key)
 	var rows []CuserRow
 	for _, q := range []int{1, 100, 1000} {
 		row := CuserRow{
 			Q:             q,
 			PaperClaimMs:  claims[q],
-			ModelMs:       float64(model.UserCost(q).Microseconds()) / 1000,
+			ModelMs:       ms(model.UserCost(q)),
+			HashNs:        float64(measured.Chash.Nanoseconds()),
+			PredictedMs:   ms(measured.UserCost(q)),
 			FormulaHashes: model.UserHashes(q),
 		}
 		if q <= n {
@@ -54,9 +66,11 @@ func (e *Env) Cuser() ([]CuserRow, error) {
 				return nil, err
 			}
 			h.ResetOps()
+			start := time.Now()
 			if _, err := v.VerifyResult(query, role, res); err != nil {
 				return nil, err
 			}
+			row.VerifyMs = ms(time.Since(start))
 			row.MeasuredHashes = h.Ops()
 		}
 		rows = append(rows, row)
@@ -68,13 +82,19 @@ func (e *Env) Cuser() ([]CuserRow, error) {
 func PrintCuser(w io.Writer, rows []CuserRow) {
 	lines := make([]string, 0, len(rows))
 	for _, r := range rows {
-		meas := "-"
+		meas, verify := "-", "-"
 		if r.MeasuredHashes > 0 {
 			meas = fmt.Sprintf("%d (%.1fx formula; ours hashes both chains of formula (3))",
 				r.MeasuredHashes, float64(r.MeasuredHashes)/float64(r.FormulaHashes))
+			verify = fmt.Sprintf("%.2fms", r.VerifyMs)
 		}
 		lines = append(lines, fmt.Sprintf("|Q|=%5d  paper=%8.1fms  model=%8.1fms  formulaHashes=%7d  measuredHashes=%s",
 			r.Q, r.PaperClaimMs, r.ModelMs, r.FormulaHashes, meas))
+		lines = append(lines, fmt.Sprintf("          on this machine: %.0fns/hash  formula(5)=%.2fms  verify=%s",
+			r.HashNs, r.PredictedMs, verify))
 	}
 	printTable(w, "E4 / Section 6.2 — Cuser closed-form validation", lines)
 }
+
+// ms converts a duration to fractional milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -131,10 +131,18 @@ func TestCuserValidatesPaperNumbers(t *testing.T) {
 				t.Errorf("|Q|=%d: measured hashes %d vs formula %d (ratio %.2f)",
 					r.Q, r.MeasuredHashes, r.FormulaHashes, f)
 			}
+			if r.VerifyMs <= 0 {
+				t.Errorf("|Q|=%d: verification measured but no time recorded", r.Q)
+			}
+		}
+		// The formula at this machine's constants is reported beside it.
+		if r.HashNs <= 0 || r.PredictedMs <= 0 {
+			t.Errorf("|Q|=%d: measured constants missing: %.0fns/hash, formula %.2fms", r.Q, r.HashNs, r.PredictedMs)
 		}
 	}
 	var buf bytes.Buffer
 	PrintCuser(&buf, rows)
+	t.Log("\n" + buf.String())
 }
 
 func TestVOSizeClaims(t *testing.T) {

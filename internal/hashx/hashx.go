@@ -68,7 +68,9 @@ func (d Digest) Equal(o Digest) bool {
 
 // Hasher computes tagged, truncated SHA-256 digests and counts how many
 // primitive hash operations it has performed. All methods are safe for
-// concurrent use; the counter is atomic.
+// concurrent use; the counter is atomic. A data-parallel pass gives each
+// worker its own Fork, so workers never contend on one counter, and
+// Joins the forks back when it completes.
 //
 // The zero value is not usable; construct with New or NewSize.
 type Hasher struct {
@@ -102,16 +104,52 @@ func (h *Hasher) Ops() uint64 { return h.ops.Load() }
 // ResetOps zeroes the operation counter.
 func (h *Hasher) ResetOps() { h.ops.Store(0) }
 
-// hash is the single primitive: SHA-256 over tag||parts, truncated.
-func (h *Hasher) hash(tag byte, parts ...[]byte) Digest {
+// Fork returns a Hasher producing the same digests with its own, zeroed
+// operation counter: the per-worker hasher of a data-parallel pass.
+func (h *Hasher) Fork() *Hasher { return &Hasher{size: h.size} }
+
+// Join moves w's operation count into h, leaving w at zero, so the
+// parent's Ops total covers the work its forks did.
+func (h *Hasher) Join(w *Hasher) { h.ops.Add(w.ops.Swap(0)) }
+
+// bufSize is the stack buffer a hash input tag||parts is assembled in.
+// Every fixed-shape digest input of the scheme fits; long attribute
+// values and a representation's concatenated chain tips stream through
+// a sha256 state instead.
+const bufSize = 256
+
+// sum is the single primitive: SHA-256 over tag||parts into out, one
+// counted operation, no heap allocation.
+func (h *Hasher) sum(out *[MaxSize]byte, tag byte, parts ...[]byte) {
 	h.ops.Add(1)
-	st := sha256.New()
-	st.Write([]byte{tag})
+	n := 1
 	for _, p := range parts {
-		st.Write(p)
+		n += len(p)
 	}
-	sum := st.Sum(nil)
-	return Digest(sum[:h.size])
+	if n > bufSize {
+		// The concrete state behind sha256.New stays on the stack.
+		st := sha256.New()
+		st.Write([]byte{tag})
+		for _, p := range parts {
+			st.Write(p)
+		}
+		st.Sum(out[:0])
+		return
+	}
+	var buf [bufSize]byte
+	buf[0] = tag
+	off := 1
+	for _, p := range parts {
+		off += copy(buf[off:], p)
+	}
+	*out = sha256.Sum256(buf[:n])
+}
+
+// hash returns sum's output truncated to Size() bytes as a fresh Digest.
+func (h *Hasher) hash(tag byte, parts ...[]byte) Digest {
+	var out [MaxSize]byte
+	h.sum(&out, tag, parts...)
+	return append(make(Digest, 0, h.size), out[:h.size]...)
 }
 
 // Hash computes a general-purpose digest over the concatenation of parts.
@@ -143,21 +181,59 @@ func (h *Hasher) First(m []byte) Digest { return h.hash(tagFirst, m) }
 func (h *Hasher) Next(d Digest) Digest { return h.hash(tagIter, d) }
 
 // Iterate computes h^i(m): First(m) followed by i applications of Next.
-// i must be >= 0; the scheme's security rests on h^i being undefined for
-// negative i, so a negative argument panics rather than silently wrapping.
+// The count is unsigned: the scheme's security rests on h^i being
+// undefined for negative i, so there is no way to ask for one.
 func (h *Hasher) Iterate(m []byte, i uint64) Digest {
-	d := h.First(m)
-	return h.IterateFrom(d, i)
+	return h.AppendIterate(make(Digest, 0, h.size), m, i)
 }
 
 // IterateFrom applies Next i times to an existing chain digest. This is the
 // user-side operation of the scheme: hash the publisher's intermediate
-// digest (U - alpha) more times.
+// digest (U - alpha) more times. IterateFrom(d, 0) is d itself.
 func (h *Hasher) IterateFrom(d Digest, i uint64) Digest {
-	for ; i > 0; i-- {
-		d = h.Next(d)
+	if i == 0 {
+		return d
 	}
-	return d
+	return h.AppendIterateFrom(make(Digest, 0, h.size), d, i)
+}
+
+// AppendIterate appends h^i(m) to dst and returns the extended slice:
+// Iterate without a Digest of its own, so a caller can lay a whole
+// representation's chain tips out in one buffer and hash it once.
+func (h *Hasher) AppendIterate(dst, m []byte, i uint64) []byte {
+	return h.chain(dst, tagFirst, m, i)
+}
+
+// AppendIterateFrom appends IterateFrom(d, i) to dst and returns the
+// extended slice.
+func (h *Hasher) AppendIterateFrom(dst, d []byte, i uint64) []byte {
+	if i == 0 {
+		return append(dst, d...)
+	}
+	return h.chain(dst, tagIter, d, i-1)
+}
+
+// chain appends the digest of tag||m followed by n applications of Next.
+// The whole chain runs in one fixed buffer and counts its 1+n operations
+// with a single add (an m wider than the buffer, which no caller in the
+// scheme passes, takes the general path for its first hash).
+func (h *Hasher) chain(dst []byte, tag byte, m []byte, n uint64) []byte {
+	var sum [MaxSize]byte
+	var buf [1 + MaxSize]byte
+	if len(m) <= MaxSize {
+		h.ops.Add(1 + n)
+		buf[0] = tag
+		sum = sha256.Sum256(buf[:1+copy(buf[1:], m)])
+	} else {
+		h.sum(&sum, tag, m)
+		h.ops.Add(n)
+	}
+	buf[0] = tagIter
+	for ; n > 0; n-- {
+		copy(buf[1:], sum[:h.size])
+		sum = sha256.Sum256(buf[:1+h.size])
+	}
+	return append(dst, sum[:h.size]...)
 }
 
 // U64 encodes v as 8 big-endian bytes; the canonical pre-image encoding for

@@ -2,6 +2,9 @@ package hashx
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -188,6 +191,147 @@ func TestConcurrentHashing(t *testing.T) {
 	}
 	if h.Ops() < goroutines*per {
 		t.Fatalf("ops counter lost updates: %d", h.Ops())
+	}
+}
+
+// refHash is the primitive written out the naive way: a fresh sha256
+// state over tag||parts, truncated. Every optimized path must match it.
+func refHash(size int, tag byte, parts ...[]byte) Digest {
+	st := sha256.New()
+	st.Write([]byte{tag})
+	for _, p := range parts {
+		st.Write(p)
+	}
+	return Digest(st.Sum(nil)[:size])
+}
+
+// refIterateFrom applies the naive tagIter hash i times.
+func refIterateFrom(size int, d []byte, i uint64) Digest {
+	for ; i > 0; i-- {
+		d = refHash(size, tagIter, d)
+	}
+	return Digest(d)
+}
+
+// TestPrimitivesMatchNaiveReference pins hash, IterateFrom and the
+// append forms byte for byte against refHash for every digest width,
+// for inputs short enough for the stack buffer and longer than it, and
+// for chain seeds of unusual widths.
+func TestPrimitivesMatchNaiveReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	msg := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	for size := 8; size <= MaxSize; size++ {
+		h := NewSize(size)
+		for _, n := range []int{0, 1, 16, bufSize - 1, bufSize, bufSize + 1, 3 * bufSize} {
+			a, b := msg(n/2), msg(n-n/2)
+			if got, want := h.Hash(a, b), refHash(size, tagMisc, a, b); !got.Equal(want) {
+				t.Fatalf("size %d, %d-byte input: Hash differs from reference", size, n)
+			}
+			if got, want := h.Leaf(a), refHash(size, tagLeaf, a); !got.Equal(want) {
+				t.Fatalf("size %d, %d-byte input: Leaf differs from reference", size, n/2)
+			}
+		}
+		m := msg(16)
+		for _, i := range []uint64{0, 1, 2, 7} {
+			want := refIterateFrom(size, refHash(size, tagFirst, m), i)
+			if got := h.Iterate(m, i); !got.Equal(want) {
+				t.Fatalf("size %d: Iterate(m, %d) differs from reference", size, i)
+			}
+			prefix := []byte("prefix")
+			got := h.AppendIterate(append([]byte(nil), prefix...), m, i)
+			if !bytes.Equal(got[:len(prefix)], prefix) || !Digest(got[len(prefix):]).Equal(want) {
+				t.Fatalf("size %d: AppendIterate(m, %d) differs from reference", size, i)
+			}
+			for _, w := range []int{size, 1, MaxSize, MaxSize + 9} {
+				d := msg(w)
+				want := refIterateFrom(size, d, i)
+				if got := h.IterateFrom(d, i); !got.Equal(want) {
+					t.Fatalf("size %d: IterateFrom(%d-byte d, %d) differs from reference", size, w, i)
+				}
+				if got := h.AppendIterateFrom(nil, d, i); !Digest(got).Equal(want) {
+					t.Fatalf("size %d: AppendIterateFrom(%d-byte d, %d) differs from reference", size, w, i)
+				}
+			}
+		}
+	}
+}
+
+// TestOpsExactWithForks: every primitive counts exactly its hash
+// applications, and work done on forks lands in the parent's total at
+// Join, with the forks left at zero.
+func TestOpsExactWithForks(t *testing.T) {
+	h := New()
+	m := []byte("m")
+	d := h.First(m)
+	h.ResetOps()
+	h.IterateFrom(d, 0)
+	h.AppendIterateFrom(nil, d, 0)
+	if h.Ops() != 0 {
+		t.Fatalf("zero-length iterations counted %d ops", h.Ops())
+	}
+	h.Iterate(m, 5)                               // 6
+	h.IterateFrom(d, 4)                           // 4
+	h.AppendIterate(nil, m, 3)                    // 4
+	h.AppendIterateFrom(nil, make([]byte, 40), 2) // 2: the over-wide seed's first step included
+	h.Hash(make([]byte, 3*bufSize))               // 1
+	if got := h.Ops(); got != 17 {
+		t.Fatalf("Ops() = %d, want 17", got)
+	}
+
+	const workers, per = 4, 250
+	forks := make([]*Hasher, workers)
+	var wg sync.WaitGroup
+	for w := range forks {
+		forks[w] = h.Fork()
+		if forks[w].Size() != h.Size() || forks[w].Ops() != 0 {
+			t.Fatal("fork must share the width and start at zero ops")
+		}
+		wg.Add(1)
+		go func(f *Hasher) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				f.Iterate(m, 1) // 2 ops
+			}
+		}(forks[w])
+	}
+	wg.Wait()
+	if h.Ops() != 17 {
+		t.Fatalf("fork work leaked into the parent before Join: %d", h.Ops())
+	}
+	for _, f := range forks {
+		h.Join(f)
+		if f.Ops() != 0 {
+			t.Fatal("Join must leave the fork at zero")
+		}
+	}
+	if got, want := h.Ops(), uint64(17+workers*per*2); got != want {
+		t.Fatalf("Ops() after Join = %d, want %d", got, want)
+	}
+}
+
+// TestIterateAllocations pins the allocation-free chain: the append
+// forms allocate nothing into a buffer with room, and Iterate only its
+// result digest.
+func TestIterateAllocations(t *testing.T) {
+	h := New()
+	m := U64Pair(12345, 7)
+	buf := make([]byte, 0, 4*MaxSize)
+	if n := testing.AllocsPerRun(100, func() {
+		b := h.AppendIterate(buf, m, 9)
+		h.AppendIterateFrom(b, b[:h.Size()], 9)
+	}); n != 0 {
+		t.Fatalf("append forms allocate %.1f per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { h.Iterate(m, 9) }); n != 1 {
+		t.Fatalf("Iterate allocates %.1f per run, want 1 (the result)", n)
+	}
+	long := make([]byte, 3*bufSize)
+	if n := testing.AllocsPerRun(100, func() { h.Hash(long, m) }); n != 1 {
+		t.Fatalf("Hash over a long input allocates %.1f per run, want 1 (the result)", n)
 	}
 }
 

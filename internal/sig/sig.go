@@ -166,17 +166,18 @@ func (p *PublicKey) FDH(digest hashx.Digest) *big.Int { return fdh(p.N, digest) 
 
 // fdh maps a digest into Z_N via MGF1-SHA256 expansion reduced mod N.
 // Deterministic, so signer and verifier agree; the reduction bias is
-// negligible because the expansion is 64 bits wider than N.
+// negligible because the expansion is 64 bits wider than N. The
+// expansion is built in stack buffers (room for moduli up to 2048 bits
+// and digests up to 52 bytes; anything larger spills to the heap).
 func fdh(n *big.Int, digest hashx.Digest) *big.Int {
 	byteLen := (n.BitLen()+7)/8 + 8
-	out := make([]byte, 0, byteLen)
-	var counter uint32
-	for len(out) < byteLen {
-		var ctr [4]byte
-		binary.BigEndian.PutUint32(ctr[:], counter)
-		sum := sha256.Sum256(append(append([]byte("vcqr/fdh"), digest...), ctr[:]...))
+	var outBuf [2048/8 + 8 + sha256.Size]byte
+	var inBuf [64]byte
+	msg := append(append(inBuf[:0], "vcqr/fdh"...), digest...)
+	out := outBuf[:0]
+	for counter := uint32(0); len(out) < byteLen; counter++ {
+		sum := sha256.Sum256(binary.BigEndian.AppendUint32(msg, counter))
 		out = append(out, sum[:]...)
-		counter++
 	}
 	x := new(big.Int).SetBytes(out[:byteLen])
 	return x.Mod(x, n)
@@ -297,6 +298,7 @@ func (a *Aggregator) Sum() (Signature, error) {
 type AggVerifier struct {
 	p    *PublicKey
 	want *big.Int
+	prod big.Int // scratch for the unreduced product, reused across Adds
 	n    int
 }
 
@@ -307,9 +309,25 @@ func (p *PublicKey) NewAggVerifier() *AggVerifier {
 
 // Add folds one expected message digest into the accumulator.
 func (a *AggVerifier) Add(d hashx.Digest) {
-	a.want.Mul(a.want, fdh(a.p.N, d))
-	a.want.Mod(a.want, a.p.N)
+	a.mul(fdh(a.p.N, d))
 	a.n++
+}
+
+// Fold multiplies another accumulator's product into a. The FDH product
+// commutes, so a data-parallel verifier can accumulate per-worker
+// partials and fold them in any order.
+func (a *AggVerifier) Fold(o *AggVerifier) {
+	if o.n == 0 {
+		return
+	}
+	a.mul(o.want)
+	a.n += o.n
+}
+
+// mul sets want = want*x mod N.
+func (a *AggVerifier) mul(x *big.Int) {
+	a.prod.Mul(a.want, x)
+	a.want.Mod(&a.prod, a.p.N)
 }
 
 // Count returns how many digests were folded in so far.

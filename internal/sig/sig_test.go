@@ -1,6 +1,9 @@
 package sig
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"math/big"
 	"math/rand"
 	"sync"
 	"testing"
@@ -303,5 +306,68 @@ func BenchmarkVerifyAggregate100(b *testing.B) {
 		if !k.Public().VerifyAggregate(ds, agg) {
 			b.Fatal("aggregate verify failed")
 		}
+	}
+}
+
+// fdhReference is the MGF1-SHA256 expansion written out the obvious,
+// allocating way: the pin for fdh's stack-buffer implementation.
+func fdhReference(n *big.Int, digest hashx.Digest) *big.Int {
+	byteLen := (n.BitLen()+7)/8 + 8
+	var out []byte
+	for counter := uint32(0); len(out) < byteLen; counter++ {
+		var ctr [4]byte
+		binary.BigEndian.PutUint32(ctr[:], counter)
+		sum := sha256.Sum256(append(append([]byte("vcqr/fdh"), digest...), ctr[:]...))
+		out = append(out, sum[:]...)
+	}
+	x := new(big.Int).SetBytes(out[:byteLen])
+	return x.Mod(x, n)
+}
+
+// TestFDHMatchesReference pins fdh byte for byte across modulus widths
+// (including ones past its stack buffer) and digest widths (including
+// ones past its input buffer).
+func TestFDHMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, bits := range []int{512, 1024, 2048, 3072} {
+		n := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
+		n.SetBit(n, bits-1, 1)
+		for _, width := range []int{8, 16, 32, 56, 100} {
+			d := make(hashx.Digest, width)
+			rng.Read(d)
+			if got, want := fdh(n, d), fdhReference(n, d); got.Cmp(want) != 0 {
+				t.Fatalf("%d-bit modulus, %d-byte digest: fdh differs from reference", bits, width)
+			}
+		}
+	}
+}
+
+// TestAggVerifierFoldMatchesAdd: folding per-worker partials gives the
+// same accumulator as adding every digest to one, in any split.
+func TestAggVerifierFoldMatchesAdd(t *testing.T) {
+	pub := key(t).Public()
+	h := hashx.New()
+	whole := pub.NewAggVerifier()
+	parts := []*AggVerifier{pub.NewAggVerifier(), pub.NewAggVerifier(), pub.NewAggVerifier()}
+	var sigs []Signature
+	for i := 0; i < 10; i++ {
+		d := h.Hash(hashx.U64(uint64(i)))
+		whole.Add(d)
+		parts[i%2].Add(d) // parts[2] stays empty
+		sigs = append(sigs, key(t).Sign(d))
+	}
+	folded := pub.NewAggVerifier()
+	for _, p := range parts {
+		folded.Fold(p)
+	}
+	if folded.Count() != whole.Count() || folded.want.Cmp(whole.want) != 0 {
+		t.Fatalf("folded partials (%d digests) differ from one accumulator (%d)", folded.Count(), whole.Count())
+	}
+	agg, err := pub.Aggregate(sigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !folded.Verify(agg) {
+		t.Fatal("aggregate over the same digests rejected after Fold")
 	}
 }

@@ -29,6 +29,11 @@ import (
 // Finish to catch truncation) trusts the publisher exactly that far. In
 // individual-signature mode every released row is fully verified.
 //
+// Each entries chunk is verified in two phases: its entries' g digests
+// are reconstructed on up to GOMAXPROCS goroutines, then every ordered
+// check runs on the caller's goroutine in entry order. Errors, and the
+// rows released, do not depend on the parallelism.
+//
 // Verification failures surface the same named errors as VerifyResult,
 // plus the stream-shape errors below.
 type StreamVerifier struct {
@@ -48,6 +53,10 @@ type StreamVerifier struct {
 	lastKey     uint64 // key-order tracking across chunk boundaries
 	haveKey     bool
 
+	// slots is the two-phase scratch of the entries chunk being
+	// verified, reused across chunks.
+	slots []entrySlot
+
 	// Signature mode is established by the first chunk that reveals it:
 	// entry chunks carrying Sigs switch to individual, the footer's
 	// AggSig to aggregate. Until then both paths accumulate.
@@ -62,15 +71,37 @@ type StreamVerifier struct {
 	err  error        // sticky: first failure is terminal for the stream
 }
 
+// entrySlot is phase 1's result for one entry of the chunk being
+// verified: its reconstructed g and semantic-check outcome.
+type entrySlot struct {
+	g      hashx.Digest
+	row    engine.Row
+	hasRow bool
+	key    uint64
+	hasKey bool
+	err    error
+	// signed is the entry's signed digest when phase 1 could derive it
+	// (both neighbours in the same block); in aggregate mode its FDH is
+	// then already in the block's partial product.
+	signed hashx.Digest
+	// part is set on the first slot of each block in aggregate mode:
+	// the FDH product of the digests the block's worker signed off.
+	part *sig.AggVerifier
+}
+
 // pendingEntry is the one-entry lookahead: entry i's signed digest binds
 // g(i-1) | g(i) | g(i+1), so it can only be completed once its successor
 // (or the right boundary) is known.
 type pendingEntry struct {
-	g   hashx.Digest
-	row *engine.Row
+	entrySlot
 	sig sig.Signature // individual mode: the entry's own signature
 	idx int
 }
+
+// parallelGrain is the fewest entries a phase-1 worker is given: a
+// chunk of n entries verifies on min(GOMAXPROCS, n/parallelGrain)
+// goroutines, so short chunks stay on the caller's goroutine.
+const parallelGrain = 8
 
 // Stream-shape failures. All of them mean "reject the stream".
 var (
@@ -197,63 +228,118 @@ func (sv *StreamVerifier) consumeEntries(c *engine.Chunk) error {
 	} else if sv.individual {
 		return fmt.Errorf("%w: per-entry signatures missing mid-stream", ErrSignature)
 	}
+	n := len(c.Entries)
+	if cap(sv.slots) < n {
+		sv.slots = make([]entrySlot, n)
+	}
+	sv.slots = sv.slots[:n]
+	clear(sv.slots)
+	sv.rows = make([]engine.Row, 0, n)
+
+	// Phase 1, data-parallel: reconstruct every entry's g, and sign off
+	// the entries whose neighbours are in the same block. Failures are
+	// recorded per entry for phase 2, so no block returns an error.
+	_ = core.ParallelRange(sv.v.H, n, parallelGrain, func(h *hashx.Hasher, lo, hi int) error {
+		sv.derive(h, c.Entries, lo, hi)
+		return nil
+	})
+
+	// Phase 2, sequential and in entry order: exactly the checks, and
+	// the order of checks, of a one-entry-at-a-time verifier.
 	lastKey, haveKey := sv.lastKey, sv.haveKey
-	for i, e := range c.Entries {
-		g, row, key, hasKey, err := sv.v.entryG(sv.eff, sv.role, e)
-		if err != nil {
-			return fmt.Errorf("entry %d: %w", sv.entryIdx, err)
+	for i := range sv.slots {
+		s := &sv.slots[i]
+		if s.err != nil {
+			return fmt.Errorf("entry %d: %w", sv.entryIdx, s.err)
 		}
-		if hasKey {
-			if key < sv.eff.KeyLo || key > sv.eff.KeyHi {
-				return fmt.Errorf("%w: entry %d key %d", ErrKeyOutOfRange, sv.entryIdx, key)
+		if s.hasKey {
+			if s.key < sv.eff.KeyLo || s.key > sv.eff.KeyHi {
+				return fmt.Errorf("%w: entry %d key %d", ErrKeyOutOfRange, sv.entryIdx, s.key)
 			}
-			if haveKey && key < lastKey {
+			if haveKey && s.key < lastKey {
 				return fmt.Errorf("%w: entry %d", ErrKeyOrder, sv.entryIdx)
 			}
-			lastKey, haveKey = key, true
+			lastKey, haveKey = s.key, true
 		}
-		var esig sig.Signature
+		if sv.havePending {
+			if err := sv.completePending(s.g); err != nil {
+				return err
+			}
+			sv.gPrev = sv.pending.g
+		}
+		sv.pending = pendingEntry{entrySlot: *s, idx: sv.entryIdx}
 		if sv.individual {
-			esig = c.Sigs[i]
+			sv.pending.sig = c.Sigs[i]
 		}
-		if err := sv.advance(g, row, esig); err != nil {
-			return err
-		}
+		sv.havePending = true
 		sv.entryIdx++
 	}
 	sv.lastKey, sv.haveKey = lastKey, haveKey
+	if sv.agg != nil {
+		for i := range sv.slots {
+			if p := sv.slots[i].part; p != nil {
+				sv.agg.Fold(p)
+			}
+		}
+	}
 	return nil
 }
 
-// advance shifts the one-entry lookahead window: the newly reconstructed
-// g completes the pending entry's signed digest, then becomes pending
-// itself.
-func (sv *StreamVerifier) advance(g hashx.Digest, row *engine.Row, esig sig.Signature) error {
-	if sv.havePending {
-		if err := sv.completePending(g); err != nil {
-			return err
-		}
-		sv.gPrev = sv.pending.g
+// derive is one phase-1 worker over entries [lo,hi) of the chunk. It
+// stops at the block's first failing entry: phase 2 reports that entry
+// before looking at anything after it.
+//
+// Entry i's signed digest needs g(i-1) and g(i+1). Inside the block both
+// are this worker's own, so it derives the digest here (and folds its
+// FDH into the block's partial product in aggregate mode); the entries at
+// the block edges, and the last entry of the chunk, are left to phase 2.
+// Entry 0's predecessor is known before the chunk starts.
+func (sv *StreamVerifier) derive(h *hashx.Hasher, entries []engine.VOEntry, lo, hi int) {
+	var part *sig.AggVerifier
+	if sv.agg != nil {
+		part = sv.v.Pub.NewAggVerifier()
+		sv.slots[lo].part = part
 	}
-	sv.pending = pendingEntry{g: g, row: row, sig: esig, idx: sv.entryIdx}
-	sv.havePending = true
-	return nil
+	pred0 := sv.gPrev
+	if sv.havePending {
+		pred0 = sv.pending.g
+	}
+	for i := lo; i < hi; i++ {
+		s := &sv.slots[i]
+		if s.err = sv.v.entryG(h, sv.eff, sv.role, entries[i], s); s.err != nil {
+			return
+		}
+		// Entry i-1 is complete once its predecessor is known here too.
+		if j := i - 1; j > lo || (j == 0 && lo == 0) {
+			prev := pred0
+			if j > 0 {
+				prev = sv.slots[j-1].g
+			}
+			t := &sv.slots[j]
+			t.signed = core.SigDigestFor(h, sv.v.Params, prev, t.g, s.g)
+			if part != nil {
+				part.Add(t.signed)
+			}
+		}
+	}
 }
 
 // completePending folds the pending entry's digest into the signature
 // check, given its successor digest, and releases its row.
 func (sv *StreamVerifier) completePending(gNext hashx.Digest) error {
 	p := &sv.pending
-	digest := core.SigDigestFor(sv.v.H, sv.v.Params, sv.gPrev, p.g, gNext)
-	if sv.individual {
-		if !sv.v.Pub.Verify(digest, p.sig) {
-			return fmt.Errorf("%w: entry %d", ErrSignature, p.idx)
+	digest := p.signed
+	if digest == nil {
+		digest = core.SigDigestFor(sv.v.H, sv.v.Params, sv.gPrev, p.g, gNext)
+		if sv.agg != nil {
+			sv.agg.Add(digest)
 		}
-	} else {
-		sv.agg.Add(digest)
 	}
-	if p.row != nil {
-		sv.rows = append(sv.rows, *p.row)
+	if sv.individual && !sv.v.Pub.Verify(digest, p.sig) {
+		return fmt.Errorf("%w: entry %d", ErrSignature, p.idx)
+	}
+	if p.hasRow {
+		sv.rows = append(sv.rows, p.row)
 	}
 	return nil
 }

@@ -126,80 +126,81 @@ func sameCols(a, b []string) bool {
 	return true
 }
 
-// entryG reconstructs g for one VO entry and performs the per-entry
-// semantic checks. It returns the row for EntryResult entries and the key
-// when the entry discloses one.
-func (v *Verifier) entryG(eff engine.Query, role accessctl.Role, e engine.VOEntry) (hashx.Digest, *engine.Row, uint64, bool, error) {
+// entryG reconstructs g for one VO entry with hasher h (v.H or a
+// worker's fork of it) and performs the per-entry semantic checks. It
+// fills s with g, the row for EntryResult entries, and the key when the
+// entry discloses one.
+func (v *Verifier) entryG(h *hashx.Hasher, eff engine.Query, role accessctl.Role, e engine.VOEntry, s *entrySlot) error {
 	nLeaves := len(v.Schema.Cols) + 1
 	switch e.Mode {
 	case engine.EntryResult, engine.EntryFilteredVisible:
 		tuple, disclosed, err := v.openDisclosure(e)
 		if err != nil {
-			return nil, nil, 0, false, err
+			return err
 		}
 		if e.Mode == engine.EntryResult {
 			if err := v.checkResultDisclosure(eff, e); err != nil {
-				return nil, nil, 0, false, err
+				return err
 			}
 			if !passesDisclosed(v.Schema, eff, disclosed) {
-				return nil, nil, 0, false, ErrFilterViolation
+				return ErrFilterViolation
 			}
 		} else {
 			if err := v.checkFilteredDisclosure(eff, e, disclosed); err != nil {
-				return nil, nil, 0, false, err
+				return err
 			}
 		}
-		attrRoot, err := core.AttrRootFromDisclosure(v.H, nLeaves, tuple, hiddenMap(e, tuple, nLeaves))
+		attrRoot, err := core.AttrRootFromDisclosure(h, nLeaves, tuple, hiddenMap(e, tuple, nLeaves))
 		if err != nil {
-			return nil, nil, 0, false, fmt.Errorf("%w: %v", ErrEntry, err)
+			return fmt.Errorf("%w: %v", ErrEntry, err)
 		}
-		g, err := core.EntryG(v.H, v.Params, e.Key, core.KindRecord, e.Chain, attrRoot)
-		if err != nil {
-			return nil, nil, 0, false, fmt.Errorf("%w: %v", ErrEntry, err)
+		if s.g, err = core.EntryG(h, v.Params, e.Key, core.KindRecord, e.Chain, attrRoot); err != nil {
+			return fmt.Errorf("%w: %v", ErrEntry, err)
 		}
-		var row *engine.Row
+		s.key, s.hasKey = e.Key, true
 		if e.Mode == engine.EntryResult {
-			row = &engine.Row{Key: e.Key, Values: e.Disclosed}
+			s.row, s.hasRow = engine.Row{Key: e.Key, Values: e.Disclosed}, true
 		}
-		return g, row, e.Key, true, nil
+		return nil
 
 	case engine.EntryFilteredHidden:
 		if role.VisibilityCol == "" {
-			return nil, nil, 0, false, ErrHiddenNotAllowed
+			return ErrHiddenNotAllowed
 		}
 		visCol := v.Schema.ColIndex(role.VisibilityCol)
 		if visCol < 0 {
-			return nil, nil, 0, false, ErrHiddenNotAllowed
+			return ErrHiddenNotAllowed
 		}
 		if len(e.Disclosed) != 1 || e.Disclosed[0].Col != visCol ||
 			!e.Disclosed[0].Val.Equal(relation.BoolVal(false)) {
-			return nil, nil, 0, false, ErrVisibility
+			return ErrVisibility
 		}
 		tuple, _, err := v.openDisclosure(e)
 		if err != nil {
-			return nil, nil, 0, false, err
+			return err
 		}
-		attrRoot, err := core.AttrRootFromDisclosure(v.H, nLeaves, tuple, hiddenMap(e, tuple, nLeaves))
+		attrRoot, err := core.AttrRootFromDisclosure(h, nLeaves, tuple, hiddenMap(e, tuple, nLeaves))
 		if err != nil {
-			return nil, nil, 0, false, fmt.Errorf("%w: %v", ErrEntry, err)
+			return fmt.Errorf("%w: %v", ErrEntry, err)
 		}
-		if len(e.UpCombined) != v.H.Size() || len(e.DownCombined) != v.H.Size() {
-			return nil, nil, 0, false, fmt.Errorf("%w: hidden entry chain digests", ErrEntry)
+		if len(e.UpCombined) != h.Size() || len(e.DownCombined) != h.Size() {
+			return fmt.Errorf("%w: hidden entry chain digests", ErrEntry)
 		}
-		g := core.GFromComponents(v.H, core.KindRecord, e.UpCombined, e.DownCombined, attrRoot)
-		return g, nil, 0, false, nil
+		s.g = core.GFromComponents(h, core.KindRecord, e.UpCombined, e.DownCombined, attrRoot)
+		return nil
 
 	case engine.EntryElidedDup:
 		if !eff.Distinct {
-			return nil, nil, 0, false, ErrDistinct
+			return ErrDistinct
 		}
-		if len(e.G) != v.H.Size() {
-			return nil, nil, 0, false, fmt.Errorf("%w: elided dup digest", ErrEntry)
+		if len(e.G) != h.Size() {
+			return fmt.Errorf("%w: elided dup digest", ErrEntry)
 		}
-		return e.G, nil, 0, false, nil
+		s.g = e.G
+		return nil
 
 	default:
-		return nil, nil, 0, false, fmt.Errorf("%w: unknown mode %d", ErrEntry, e.Mode)
+		return fmt.Errorf("%w: unknown mode %d", ErrEntry, e.Mode)
 	}
 }
 
