@@ -36,15 +36,16 @@ bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 	$(GO) run ./cmd/vcbench -exp crypto -short -out BENCH_crypto.json
 
-# fuzz smoke-tests the wire decoders — the gob chunk frames, the
-# hand-rolled binary cache frames, the node sub-stream frames the
-# fault-injection seam replays, and the lease frames — plus the durable
-# store's on-disk codecs (WAL records and epoch snapshot files).
+# fuzz smoke-tests the wire decoders — chunk, cache, node sub-stream,
+# lease and shard-transfer frames, all on the one binary frame codec —
+# plus the durable store's on-disk codecs (WAL records and epoch
+# snapshot files).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadChunkFrame -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadCacheFrame -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadNodeFrame -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadLeaseFrame -fuzztime 30s ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzReadShardTransfer -fuzztime 30s -fuzzminimizetime 5s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadWALRecord -fuzztime 30s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzReadSnapshot -fuzztime 30s ./internal/store
 

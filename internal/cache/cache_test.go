@@ -3,6 +3,7 @@ package cache_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -195,6 +196,56 @@ func TestKeyStringSchema(t *testing.T) {
 	}
 	if !strings.Contains(sk.String(), "1.2.3") {
 		t.Fatalf("stream key missing epoch vector: %q", sk.String())
+	}
+	// Entries hold raw frames, so every key names the codec version: an
+	// entry filled by a build speaking another version never hits.
+	tag := fmt.Sprintf("\x00w%d\x00", wire.CodecVersion)
+	if !strings.Contains(base.String(), tag) || !strings.Contains(sk.String(), tag) {
+		t.Fatalf("keys lack the codec version tag %q: %q, %q", tag, base.String(), sk.String())
+	}
+}
+
+// zeros is an endless reader of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestPeerCapsBodies: the cache peer's one listener is bounded like every
+// other front end — an over-cap declared body gets 413 before a byte is
+// read, a frame that fails to decode gets 400 — and the peer keeps
+// serving afterwards.
+func TestPeerCapsBodies(t *testing.T) {
+	srv := cache.NewServer(0)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(body io.Reader, length int64) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/cache", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.ContentLength = length
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("POST /cache: %v", err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	n := int64(wire.MaxCacheBody) + 1
+	if code := post(io.LimitReader(zeros{}, n), n); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap /cache body answered %d, want 413", code)
+	}
+	garbage := []byte{0, 0, 0, 2, wire.CodecVersion, 0xEE}
+	if code := post(bytes.NewReader(garbage), int64(len(garbage))); code != http.StatusBadRequest {
+		t.Fatalf("malformed /cache frame answered %d, want 400", code)
+	}
+	rp, err := (&wire.Client{BaseURL: ts.URL}).CacheOp(&wire.CacheFrame{Stats: true})
+	if err != nil || rp.Stats == nil {
+		t.Fatalf("peer stopped serving after refusals: %v", err)
 	}
 }
 

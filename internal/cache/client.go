@@ -43,8 +43,9 @@ const StreamShard = -1
 // covering shard and its content epoch; whole-stream entries (Shard ==
 // StreamShard) carry the full per-shard epoch vector instead, so a bump
 // of any covering shard changes the key. Everything that shapes the
-// bytes is in the key: spec version, role, the full query shape, the
-// covering sub-range, the first/last anchors and the chunking.
+// bytes is in the key: spec version, frame codec version, role, the full
+// query shape, the covering sub-range, the first/last anchors and the
+// chunking.
 type Key struct {
 	Relation    string
 	SpecVersion uint64
@@ -67,6 +68,12 @@ func (k Key) String() string {
 	b.WriteByte(0)
 	b.WriteString("v")
 	b.WriteString(strconv.FormatUint(k.SpecVersion, 10))
+	b.WriteByte(0)
+	// The frame codec version: entries hold raw frames (whole-stream
+	// ones are served without a decode), so a build speaking another
+	// version must never hit them.
+	b.WriteString("w")
+	b.WriteString(strconv.Itoa(int(wire.CodecVersion)))
 	b.WriteByte(0)
 	b.WriteString("s")
 	b.WriteString(strconv.Itoa(k.Shard))

@@ -28,12 +28,13 @@ func (s *Server) Store() *Store { return s.store }
 // Handler returns the peer's HTTP surface:
 //
 //	POST /cache    one wire.CacheFrame in, one wire.CacheReply out
+//	               (body capped at wire.MaxCacheBody)
 //	GET  /healthz  liveness
 //	GET  /statsz   counter snapshot as JSON
 //	GET  /metrics  counter snapshot as Prometheus text
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/cache", s.handleCache)
+	mux.Handle("/cache", wire.CapBody(wire.MaxCacheBody, http.HandlerFunc(s.handleCache)))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
 	})
@@ -52,7 +53,7 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	}
 	f, err := wire.ReadCacheFrame(r.Body)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), wire.BodyStatus(err))
 		return
 	}
 	var rp wire.CacheReply

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"time"
 
 	"vcqr/internal/accessctl"
@@ -42,7 +43,8 @@ type ShardRow struct {
 	// lands, and the speedup over K=1.
 	QueryPerSec float64
 	QuerySpeed  float64
-	// Pure delta throughput and speedup over K=1.
+	// Pure delta throughput (the inverse of the median delta time) and
+	// speedup over K=1.
 	DeltaPerSec float64
 	DeltaSpeed  float64
 	// Cross-shard stream: covering shards, verified rows, total latency.
@@ -73,9 +75,12 @@ func (e *Env) mintShardWorkload(h *hashx.Hasher, n int) (*shardWorkload, error) 
 	if err != nil {
 		return nil, err
 	}
-	w := &shardWorkload{master: sr, rounds: 24, tail: 16}
+	// The pure-delta phase reports the median of per-delta times, over
+	// enough deltas that one slow delta (a GC, a descheduled thread)
+	// cannot move the K-speedup.
+	w := &shardWorkload{master: sr, rounds: 24, tail: 32}
 	if e.Short {
-		w.rounds, w.tail = 8, 8
+		w.rounds = 8
 	}
 
 	// Hot set: evenly spaced point queries (single-shard at every K).
@@ -121,16 +126,18 @@ func (e *Env) Sharding() ([]ShardRow, error) {
 	const cscan, cclone = 5 * time.Nanosecond, 600 * time.Nanosecond
 
 	var rows []ShardRow
+	var srvs []*server.Server
 	for _, k := range []int{1, 2, 4, 8} {
 		set, err := partition.Split(w.master, k)
 		if err != nil {
 			return nil, err
 		}
 		srv := server.New(server.Config{Hasher: h, Pub: e.Key.Public(), Policy: accessctl.NewPolicy(role)})
+		defer srv.Close()
 		if err := srv.AddPartition(set, false); err != nil {
-			srv.Close()
 			return nil, err
 		}
+		srvs = append(srvs, srv)
 
 		row := ShardRow{K: k}
 
@@ -138,12 +145,10 @@ func (e *Env) Sharding() ([]ShardRow, error) {
 		start := time.Now()
 		for r := 0; r < w.rounds; r++ {
 			if _, err := srv.ApplyDelta(w.deltas[r]); err != nil {
-				srv.Close()
 				return nil, fmt.Errorf("sharding k=%d delta %d: %w", k, r, err)
 			}
 			for _, q := range w.queries {
 				if _, err := srv.Query("all", q); err != nil {
-					srv.Close()
 					return nil, fmt.Errorf("sharding k=%d query: %w", k, err)
 				}
 			}
@@ -155,19 +160,16 @@ func (e *Env) Sharding() ([]ShardRow, error) {
 		q := engine.Query{Relation: w.master.Schema.Name}
 		plan, err := planner.PlanShardQuery(set.Spec, set.Slices, q)
 		if err != nil {
-			srv.Close()
 			return nil, err
 		}
 		row.Plan = plan.Explain
 		sv, err := v.NewShardStreamVerifier(set.Spec, q, role)
 		if err != nil {
-			srv.Close()
 			return nil, err
 		}
 		start = time.Now()
 		st, err := srv.QueryStream("all", q, 0)
 		if err != nil {
-			srv.Close()
 			return nil, err
 		}
 		verifiedRows := 0
@@ -178,32 +180,19 @@ func (e *Env) Sharding() ([]ShardRow, error) {
 			}
 			released, err := sv.Consume(c)
 			if err != nil {
-				srv.Close()
 				return nil, fmt.Errorf("sharding k=%d stream rejected: %w", k, err)
 			}
 			verifiedRows += len(released)
 		}
 		if err := sv.Finish(); err != nil {
-			srv.Close()
 			return nil, fmt.Errorf("sharding k=%d stream: %w", k, err)
 		}
 		row.StreamTotal = time.Since(start)
 		row.StreamRows = verifiedRows
 		row.StreamShards = len(set.Spec.Decompose(1, w.master.Params.U-1))
 		if verifiedRows != n {
-			srv.Close()
 			return nil, fmt.Errorf("sharding k=%d: stream verified %d rows, want %d", k, verifiedRows, n)
 		}
-
-		// Phase C: pure delta throughput.
-		start = time.Now()
-		for i := w.rounds; i < w.rounds+w.tail; i++ {
-			if _, err := srv.ApplyDelta(w.deltas[i]); err != nil {
-				srv.Close()
-				return nil, fmt.Errorf("sharding k=%d tail delta: %w", k, err)
-			}
-		}
-		row.DeltaPerSec = float64(w.tail) / time.Since(start).Seconds()
 
 		// Model prediction for the serving loop at this K: one delta plus
 		// the hot set, with (K-1)/K of the hot set served from cache.
@@ -214,8 +203,26 @@ func (e *Env) Sharding() ([]ShardRow, error) {
 		}
 		row.Model = costmodel.FanoutSpeedup(modelRound(1), modelRound(k))
 
-		srv.Close()
 		rows = append(rows, row)
+	}
+
+	// Phase C: pure delta throughput, from the median per-delta time.
+	// Every K applies the same tail deltas, interleaved delta by delta,
+	// so drift on a shared host (and the garbage one server leaves for
+	// the collector) lands on every K alike rather than on one phase.
+	times := make([][]time.Duration, len(srvs))
+	for i := w.rounds; i < w.rounds+w.tail; i++ {
+		for j, srv := range srvs {
+			start := time.Now()
+			if _, err := srv.ApplyDelta(w.deltas[i]); err != nil {
+				return nil, fmt.Errorf("sharding k=%d tail delta: %w", rows[j].K, err)
+			}
+			times[j] = append(times[j], time.Since(start))
+		}
+	}
+	for j := range rows {
+		slices.Sort(times[j])
+		rows[j].DeltaPerSec = 1 / times[j][len(times[j])/2].Seconds()
 	}
 	base := rows[0]
 	for i := range rows {

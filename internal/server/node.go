@@ -857,17 +857,26 @@ func (s *Server) nodeHandlers(mux *http.ServeMux) {
 		})))
 	}
 
-	gobEndpoint("/shard/edges", func(dec *gob.Decoder) (any, error) {
-		var ref wire.ShardRef
-		if err := dec.Decode(&ref); err != nil {
-			return wire.EdgeResponse{Err: err.Error()}, err
+	// The edge probe runs on every pinned cross-shard query, so its
+	// answer rides the frame codec rather than the gob control envelope.
+	mux.Handle("/shard/edges", wire.CapBody(wire.MaxQueryBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			return
 		}
+		var ref wire.ShardRef
+		if err := gob.NewDecoder(r.Body).Decode(&ref); err != nil {
+			http.Error(w, err.Error(), wire.BodyStatus(err))
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
 		out, err := s.ShardEdges(ref)
 		if err != nil {
+			s.errors.Add(1)
 			out.Err = err.Error()
 		}
-		return out, err
-	})
+		wire.WriteEdgeResponse(w, &out)
+	})))
 	gobEndpoint("/shard/digest", func(dec *gob.Decoder) (any, error) {
 		var ref wire.ShardRef
 		if err := dec.Decode(&ref); err != nil {
@@ -926,9 +935,9 @@ func (s *Server) nodeHandlers(mux *http.ServeMux) {
 		return wire.OKResponse{Epoch: epoch}, nil
 	})
 
-	// The lease endpoint rides the length-prefixed frame codec end to
-	// end (not the gob control envelope), so both decode surfaces are
-	// the fuzzed ones (FuzzReadLeaseFrame).
+	// The lease endpoint rides the frame codec in both directions (not
+	// the gob control envelope), so both decode surfaces are the fuzzed
+	// ones (FuzzReadLeaseFrame).
 	mux.Handle("/node/lease", wire.CapBody(wire.MaxQueryBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)

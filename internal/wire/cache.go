@@ -3,29 +3,22 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 
 	"vcqr/internal/hashx"
 )
 
 // This file is the edge-cache half of the wire protocol
 // (internal/cache): memcached-shaped get/put/invalidate/stats operations
-// carried as length-prefixed binary frames over a single POST endpoint,
-// under the same size cap as the chunk streams. Unlike the cluster
-// frames these do not ride gob: a cache hit is the hot path of a cached
-// deployment and gob pays a per-frame engine setup that dwarfs the
-// actual byte shuffling, so the codec here is hand-rolled — a tag byte
-// plus uvarint-length-prefixed fields over a pooled scratch buffer. A
-// cache peer is deliberately outside the trust model — it stores opaque
-// bytes the coordinator handed it and returns them verbatim; anything it
-// garbles or forges dies on the client's entry digest compare, the
-// coordinator's seam checks, or ultimately the user's unmodified stream
-// verifier.
+// carried as frames of the shared codec (codec.go) over a single POST
+// endpoint, under the same size cap as the chunk streams. A cache peer
+// is deliberately outside the trust model — it stores opaque bytes the
+// coordinator handed it and returns them verbatim; anything it garbles
+// or forges dies on the client's entry digest compare, the coordinator's
+// seam checks, or ultimately the user's unmodified stream verifier.
 
 // CacheGet asks a peer for one entry by its full key.
 type CacheGet struct {
@@ -86,268 +79,126 @@ type CacheReply struct {
 	Err   string
 }
 
-// Cache frame layout: 4-byte big-endian payload length, then a tag byte
-// and the operation's fields. Strings and byte fields carry a uvarint
-// length prefix; integers are (u)varints. A decoded frame must consume
-// its payload exactly — trailing bytes are a malformed frame, so every
-// byte on the wire is accounted for.
-const (
-	cacheTagGet        = 1
-	cacheTagPut        = 2
-	cacheTagInvalidate = 3
-	cacheTagStats      = 4
-	cacheTagReply      = 5
-)
-
-var errCacheFrame = errors.New("wire: malformed cache frame")
-
-// cacheBufPool holds encode scratch: payload bytes are built once,
-// header patched in place, and the whole frame leaves in one Write.
-var cacheBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-func appendCacheBytes(b []byte, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-func appendCacheString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// writeCacheRaw patches the length header into b[:4] and writes the
-// frame. b includes the 4 reserved header bytes.
-func writeCacheRaw(w io.Writer, b []byte) error {
-	n := len(b) - 4
-	if n > MaxChunkFrame {
-		return fmt.Errorf("wire: cache frame of %d bytes exceeds cap %d", n, MaxChunkFrame)
-	}
-	binary.BigEndian.PutUint32(b[:4], uint32(n))
-	_, err := w.Write(b)
-	return err
-}
-
-// cacheDecoder is a sticky-error cursor over one frame payload.
-type cacheDecoder struct {
-	b   []byte
-	err error
-}
-
-func (d *cacheDecoder) fail() { d.err = errCacheFrame }
-
-func (d *cacheDecoder) byte() byte {
-	if d.err != nil || len(d.b) == 0 {
-		d.fail()
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *cacheDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *cacheDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-// bytes returns a sub-slice aliasing the frame's backing array (each
-// read allocates a fresh payload, so aliases stay valid and private).
-func (d *cacheDecoder) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(d.b)) {
-		d.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := d.b[:n:n]
-	d.b = d.b[n:]
-	return out
-}
-
-func (d *cacheDecoder) str() string { return string(d.bytes()) }
-
-// done fails the decode unless the payload was consumed exactly.
-func (d *cacheDecoder) done() error {
-	if d.err == nil && len(d.b) != 0 {
-		d.fail()
-	}
-	return d.err
-}
-
-// readCachePayload reads one length-prefixed frame payload. A clean EOF
-// before the header surfaces as io.EOF so stream loops terminate.
-func readCachePayload(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n > MaxChunkFrame {
-		return nil, fmt.Errorf("wire: cache frame of %d bytes exceeds cap %d", n, MaxChunkFrame)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return b, nil
-}
-
 // WriteCacheFrame writes one cache request frame.
 func WriteCacheFrame(w io.Writer, f *CacheFrame) error {
-	bp := cacheBufPool.Get().(*[]byte)
-	b := append((*bp)[:0], 0, 0, 0, 0)
+	if !exactlyOne(f.Get != nil, f.Put != nil, f.Invalidate != nil, f.Stats) {
+		return fmt.Errorf("wire: cache frame must set exactly one operation")
+	}
 	switch {
 	case f.Get != nil:
-		b = append(b, cacheTagGet)
-		b = appendCacheString(b, f.Get.Key)
+		return sendFrame(w, tagCacheGet, func(b []byte) []byte { return appendString(b, f.Get.Key) })
 	case f.Put != nil:
 		p := f.Put
-		b = append(b, cacheTagPut)
-		b = appendCacheString(b, p.Key)
-		b = appendCacheString(b, p.Relation)
-		b = binary.AppendVarint(b, int64(p.Shard))
-		b = binary.AppendUvarint(b, p.Epoch)
-		b = appendCacheBytes(b, p.Sum)
-		b = appendCacheBytes(b, p.Bytes)
+		return sendFrame(w, tagCachePut, func(b []byte) []byte {
+			b = appendString(b, p.Key)
+			b = appendString(b, p.Relation)
+			b = appendInt(b, p.Shard)
+			b = binary.AppendUvarint(b, p.Epoch)
+			b = appendBytes(b, p.Sum)
+			return appendBytes(b, p.Bytes)
+		})
 	case f.Invalidate != nil:
 		iv := f.Invalidate
-		b = append(b, cacheTagInvalidate)
-		b = appendCacheString(b, iv.Relation)
-		b = binary.AppendVarint(b, int64(iv.Shard))
-		b = binary.AppendUvarint(b, iv.Keep)
-		b = appendCacheString(b, iv.Key)
-	case f.Stats:
-		b = append(b, cacheTagStats)
-	default:
-		*bp = b[:0]
-		cacheBufPool.Put(bp)
-		return fmt.Errorf("wire: cache frame sets no operation")
+		return sendFrame(w, tagCacheInvalidate, func(b []byte) []byte {
+			b = appendString(b, iv.Relation)
+			b = appendInt(b, iv.Shard)
+			b = binary.AppendUvarint(b, iv.Keep)
+			return appendString(b, iv.Key)
+		})
 	}
-	err := writeCacheRaw(w, b)
-	*bp = b[:0]
-	cacheBufPool.Put(bp)
-	return err
+	return sendFrame(w, tagCacheStats, func(b []byte) []byte { return b })
 }
 
 // ReadCacheFrame reads one cache request frame.
 func ReadCacheFrame(r io.Reader) (*CacheFrame, error) {
-	payload, err := readCachePayload(r)
+	d, tag, err := recvFrame(r)
 	if err != nil {
 		return nil, err
 	}
-	d := cacheDecoder{b: payload}
 	var f CacheFrame
-	switch d.byte() {
-	case cacheTagGet:
+	switch tag {
+	case tagCacheGet:
 		f.Get = &CacheGet{Key: d.str()}
-	case cacheTagPut:
+	case tagCachePut:
 		f.Put = &CachePut{
 			Key:      d.str(),
 			Relation: d.str(),
-			Shard:    int(d.varint()),
+			Shard:    d.int(),
 			Epoch:    d.uvarint(),
-			Sum:      hashx.Digest(d.bytes()),
+			Sum:      d.bytes(),
 			Bytes:    d.bytes(),
 		}
-	case cacheTagInvalidate:
+	case tagCacheInvalidate:
 		f.Invalidate = &CacheInvalidate{
 			Relation: d.str(),
-			Shard:    int(d.varint()),
+			Shard:    d.int(),
 			Keep:     d.uvarint(),
 			Key:      d.str(),
 		}
-	case cacheTagStats:
+	case tagCacheStats:
 		f.Stats = true
 	default:
-		return nil, errCacheFrame
+		d.fail()
 	}
 	if err := d.done(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wire: decode cache frame: %w", err)
 	}
 	return &f, nil
 }
 
+// Reply flag bits: which optional parts a reply carries.
+const (
+	cacheReplyHit   = 1
+	cacheReplyStats = 2
+)
+
 // WriteCacheReply writes one cache reply frame.
 func WriteCacheReply(w io.Writer, rp *CacheReply) error {
-	bp := cacheBufPool.Get().(*[]byte)
-	b := append((*bp)[:0], 0, 0, 0, 0, cacheTagReply)
-	var flags byte
-	if rp.Hit {
-		flags |= 1
-	}
-	if rp.Stats != nil {
-		flags |= 2
-	}
-	b = append(b, flags)
-	b = appendCacheBytes(b, rp.Sum)
-	b = appendCacheBytes(b, rp.Bytes)
-	b = binary.AppendVarint(b, int64(rp.Dropped))
-	if s := rp.Stats; s != nil {
-		b = binary.AppendVarint(b, int64(s.Entries))
-		b = binary.AppendVarint(b, s.Bytes)
-		b = binary.AppendVarint(b, s.Budget)
-		b = binary.AppendUvarint(b, s.Hits)
-		b = binary.AppendUvarint(b, s.Misses)
-		b = binary.AppendUvarint(b, s.Puts)
-		b = binary.AppendUvarint(b, s.Evictions)
-		b = binary.AppendUvarint(b, s.Invalidations)
-	}
-	b = appendCacheString(b, rp.Err)
-	err := writeCacheRaw(w, b)
-	*bp = b[:0]
-	cacheBufPool.Put(bp)
-	return err
+	return sendFrame(w, tagCacheReply, func(b []byte) []byte {
+		var flags byte
+		if rp.Hit {
+			flags |= cacheReplyHit
+		}
+		if rp.Stats != nil {
+			flags |= cacheReplyStats
+		}
+		b = append(b, flags)
+		b = appendBytes(b, rp.Sum)
+		b = appendBytes(b, rp.Bytes)
+		b = appendInt(b, rp.Dropped)
+		if s := rp.Stats; s != nil {
+			b = appendInt(b, s.Entries)
+			b = binary.AppendVarint(b, s.Bytes)
+			b = binary.AppendVarint(b, s.Budget)
+			b = binary.AppendUvarint(b, s.Hits)
+			b = binary.AppendUvarint(b, s.Misses)
+			b = binary.AppendUvarint(b, s.Puts)
+			b = binary.AppendUvarint(b, s.Evictions)
+			b = binary.AppendUvarint(b, s.Invalidations)
+		}
+		return appendString(b, rp.Err)
+	})
 }
 
 // ReadCacheReply reads one cache reply frame.
 func ReadCacheReply(r io.Reader) (*CacheReply, error) {
-	payload, err := readCachePayload(r)
+	d, err := recvTagged(r, tagCacheReply)
 	if err != nil {
 		return nil, err
 	}
-	d := cacheDecoder{b: payload}
-	if d.byte() != cacheTagReply {
-		return nil, errCacheFrame
-	}
 	flags := d.byte()
-	rp := &CacheReply{
-		Hit:     flags&1 != 0,
-		Sum:     hashx.Digest(d.bytes()),
-		Bytes:   d.bytes(),
-		Dropped: int(d.varint()),
+	if flags&^(cacheReplyHit|cacheReplyStats) != 0 {
+		d.fail()
 	}
-	if flags&2 != 0 {
+	rp := &CacheReply{
+		Hit:     flags&cacheReplyHit != 0,
+		Sum:     d.bytes(),
+		Bytes:   d.bytes(),
+		Dropped: d.int(),
+	}
+	if flags&cacheReplyStats != 0 {
 		rp.Stats = &CacheStats{
-			Entries:       int(d.varint()),
+			Entries:       d.int(),
 			Bytes:         d.varint(),
 			Budget:        d.varint(),
 			Hits:          d.uvarint(),
@@ -359,7 +210,7 @@ func ReadCacheReply(r io.Reader) (*CacheReply, error) {
 	}
 	rp.Err = d.str()
 	if err := d.done(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wire: decode cache reply: %w", err)
 	}
 	return rp, nil
 }

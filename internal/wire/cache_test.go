@@ -2,7 +2,10 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
+	"runtime"
 	"testing"
 
 	"vcqr/internal/hashx"
@@ -112,4 +115,30 @@ func FuzzReadCacheFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestLyingLengthCostsLittle: a frame header claiming the full frame cap,
+// then EOF, is a named truncation — and costs the reader a bounded
+// buffer, not the claimed length. A 4-byte request must not buy 64 MB
+// of a peer's memory.
+func TestLyingLengthCostsLittle(t *testing.T) {
+	hdr := binary.BigEndian.AppendUint32(nil, wire.MaxChunkFrame)
+	readers := map[string]func(io.Reader) error{
+		"ReadCacheFrame": func(r io.Reader) error { _, err := wire.ReadCacheFrame(r); return err },
+		"ReadCacheReply": func(r io.Reader) error { _, err := wire.ReadCacheReply(r); return err },
+		"ReadChunkFrame": func(r io.Reader) error { _, err := wire.ReadChunkFrame(r); return err },
+		"ReadNodeFrame":  func(r io.Reader) error { _, err := wire.ReadNodeFrame(r); return err },
+	}
+	for name, read := range readers {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read(bytes.NewReader(hdr))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, wire.ErrFrameTruncated) {
+			t.Fatalf("%s: %v, want ErrFrameTruncated", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("%s allocated %d bytes for a lying length prefix", name, got)
+		}
+	}
 }

@@ -22,12 +22,13 @@ import (
 
 // This file is the coordinator/node half of the wire protocol
 // (internal/cluster): per-shard sub-streams, shard slice transfer, edge
-// and digest probes, and the two-phase distributed delta. Everything
-// rides the same length-prefixed gob framing as the user-facing chunk
-// streams, and — as everywhere in this system — nothing in the transport
-// is trusted: a node that lies produces a merged stream the user's
-// verifier rejects, a tampered transfer dies on the receiver's digest
-// compare and signature validation.
+// and digest probes, and the two-phase distributed delta. Sub-streams,
+// edge probes, leases and transfers ride the shared binary frame codec
+// (codec.go) like the user-facing chunk streams; request bodies and the
+// delta/admin control calls stay gob. As everywhere in this system,
+// nothing in the transport is trusted: a node that lies produces a
+// merged stream the user's verifier rejects, a tampered transfer dies on
+// the receiver's digest compare and signature validation.
 
 // Cluster transport errors.
 var (
@@ -50,58 +51,6 @@ const NotHostingMsg = "not hosting shard"
 // refusal.
 func IsNotHosting(err error) bool {
 	return err != nil && strings.Contains(err.Error(), NotHostingMsg)
-}
-
-// --- generic frame codec ---------------------------------------------
-
-// writeFrame writes one length-prefixed gob frame of any payload type,
-// sharing the chunk codec's pooled buffers and size cap.
-func writeFrame(w io.Writer, v any) error {
-	buf := frameBufPool.Get().(*bytes.Buffer)
-	defer putFrameBuf(buf)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		return fmt.Errorf("wire: encode frame: %w", err)
-	}
-	if buf.Len() > MaxChunkFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, buf.Len())
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	return nil
-}
-
-// readFrame reads one length-prefixed gob frame into v. It returns
-// io.EOF exactly at a frame boundary and ErrFrameTruncated when the
-// stream dies mid-frame.
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return io.EOF
-		}
-		return fmt.Errorf("%w: length prefix: %v", ErrFrameTruncated, err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxChunkFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
-	}
-	body := frameBufPool.Get().(*bytes.Buffer)
-	defer putFrameBuf(body)
-	body.Reset()
-	if _, err := io.CopyN(body, r, int64(n)); err != nil {
-		return fmt.Errorf("%w: body: %v", ErrFrameTruncated, err)
-	}
-	if err := gob.NewDecoder(body).Decode(v); err != nil {
-		return fmt.Errorf("wire: decode frame: %w", err)
-	}
-	return nil
 }
 
 // --- shard sub-streams ------------------------------------------------
@@ -145,9 +94,9 @@ type NodeHello struct {
 	// hosting the byte-identical slice when a sub-stream fails over
 	// mid-flight, and to attribute seam failures to a lying replica via
 	// cross-replica compare. Like Edges it is a claim, not a proof: the
-	// user's verifier is what catches a node lying here. Optional wire
-	// field — old hellos decode with a zero digest and simply disable
-	// digest-pinned failover for that sub-stream.
+	// user's verifier is what catches a node lying here. May be empty: a
+	// hello without one disables digest-pinned failover for that
+	// sub-stream.
 	Digest hashx.Digest
 }
 
@@ -166,8 +115,8 @@ type NodeFoot struct {
 	// Timing is the node's advisory per-stage breakdown for this
 	// sub-stream (assembly, agg-index lookups...), echoed so the
 	// coordinator can attribute a slow merged stream to the node at
-	// fault. Optional wire field, outside every digest and signature —
-	// the seam material above it is what hand-off checks compare.
+	// fault. May be empty; outside every digest and signature — the seam
+	// material above it is what hand-off checks compare.
 	Timing []obs.StageDur
 }
 
@@ -180,16 +129,99 @@ type NodeFrame struct {
 }
 
 // WriteNodeFrame writes one sub-stream frame; ReadNodeFrame is its
-// counterpart (the client's NodeStream wraps it).
-func WriteNodeFrame(w io.Writer, f *NodeFrame) error { return writeFrame(w, f) }
+// counterpart (the client's NodeStream wraps it). A frame must set
+// exactly one field.
+func WriteNodeFrame(w io.Writer, f *NodeFrame) error {
+	if !exactlyOne(f.Hello != nil, f.Chunk != nil, f.Foot != nil, f.Err != "") {
+		return fmt.Errorf("wire: node frame must set exactly one field")
+	}
+	switch {
+	case f.Hello != nil:
+		h := f.Hello
+		return sendFrame(w, tagNodeHello, func(b []byte) []byte {
+			b = appendInt(b, h.Shard)
+			b = binary.AppendUvarint(b, h.Epoch)
+			b = appendEdges(b, &h.Edges)
+			b = appendOptProof(b, h.Left)
+			return appendBytes(b, h.Digest)
+		})
+	case f.Chunk != nil:
+		return sendFrame(w, tagNodeChunk, func(b []byte) []byte { return appendChunk(b, f.Chunk) })
+	case f.Foot != nil:
+		ft := f.Foot
+		return sendFrame(w, tagNodeFoot, func(b []byte) []byte {
+			b = binary.AppendUvarint(b, ft.Entries)
+			b = appendBytes(b, ft.Partial)
+			b = appendOptProof(b, ft.Right)
+			b = appendBytes(b, ft.PredSig)
+			b = appendBytes(b, ft.PredPrevG)
+			b = appendBool(b, ft.NeedPrevG)
+			return appendTiming(b, ft.Timing)
+		})
+	}
+	return sendFrame(w, tagNodeErr, func(b []byte) []byte { return appendString(b, f.Err) })
+}
 
 // ReadNodeFrame reads one sub-stream frame.
 func ReadNodeFrame(r io.Reader) (*NodeFrame, error) {
-	var f NodeFrame
-	if err := readFrame(r, &f); err != nil {
+	d, tag, err := recvFrame(r)
+	if err != nil {
 		return nil, err
 	}
-	return &f, nil
+	f := new(NodeFrame)
+	switch tag {
+	case tagNodeHello:
+		h := new(NodeHello)
+		h.Shard = d.int()
+		h.Epoch = d.uvarint()
+		d.edges(&h.Edges)
+		h.Left = d.optProof()
+		h.Digest = d.bytes()
+		f.Hello = h
+	case tagNodeChunk:
+		f.Chunk = new(engine.Chunk)
+		d.chunk(f.Chunk)
+	case tagNodeFoot:
+		ft := new(NodeFoot)
+		ft.Entries = d.uvarint()
+		ft.Partial = d.bytes()
+		ft.Right = d.optProof()
+		ft.PredSig = d.bytes()
+		ft.PredPrevG = d.bytes()
+		ft.NeedPrevG = d.bool()
+		ft.Timing = d.timing()
+		f.Foot = ft
+	case tagNodeErr:
+		// An empty message would re-encode as no frame at all.
+		if f.Err = d.str(); f.Err == "" {
+			d.fail()
+		}
+	default:
+		d.fail()
+	}
+	if err := d.done(); err != nil {
+		return nil, fmt.Errorf("wire: decode node frame: %w", err)
+	}
+	return f, nil
+}
+
+func appendEdges(b []byte, e *partition.Edges) []byte {
+	for i := range e.Head {
+		b = appendRecord(b, &e.Head[i])
+	}
+	for i := range e.Tail {
+		b = appendRecord(b, &e.Tail[i])
+	}
+	return b
+}
+
+func (d *frameDecoder) edges(e *partition.Edges) {
+	for i := range e.Head {
+		d.record(&e.Head[i])
+	}
+	for i := range e.Tail {
+		d.record(&e.Tail[i])
+	}
 }
 
 // NodeStream is a client-side shard sub-stream in consumption order:
@@ -214,29 +246,16 @@ func (c *Client) ShardStream(req ShardStreamRequest) (*NodeStream, error) {
 // fully drained tee holds the byte-exact frame sequence a later replay
 // decodes back into the merge. A nil tee is ShardStream.
 func (c *Client) ShardStreamTee(req ShardStreamRequest, tee io.Writer) (*NodeStream, error) {
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(req); err != nil {
-		return nil, fmt.Errorf("wire: encode shard stream request: %w", err)
-	}
-	resp, err := httpc.Post(c.BaseURL+"/shard/stream", "application/octet-stream", &body)
+	body, err := c.postForFrames("/shard/stream", req)
 	if err != nil {
-		return nil, fmt.Errorf("wire: post shard stream: %w", err)
+		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		resp.Body.Close()
-		return nil, fmt.Errorf("wire: node returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	rbody := resp.Body
+	rbody := body
 	if tee != nil {
-		rbody = &teeReadCloser{r: io.TeeReader(resp.Body, tee), c: resp.Body}
+		rbody = &teeReadCloser{r: io.TeeReader(body, tee), c: body}
 	}
-	var f NodeFrame
-	if err := readFrame(rbody, &f); err != nil {
+	f, err := ReadNodeFrame(rbody)
+	if err != nil {
 		rbody.Close()
 		return nil, err
 	}
@@ -272,8 +291,8 @@ func (ns *NodeStream) Next() (*engine.Chunk, error) {
 	if ns.foot != nil {
 		return nil, io.EOF
 	}
-	var f NodeFrame
-	if err := readFrame(ns.body, &f); err != nil {
+	f, err := ReadNodeFrame(ns.body)
+	if err != nil {
 		if err == io.EOF {
 			err = fmt.Errorf("%w: sub-stream ended before its foot", ErrFrameTruncated)
 		}
@@ -344,25 +363,130 @@ type TransferFrame struct {
 // amortize framing, small enough to keep frames well under the cap.
 const transferBatch = 256
 
+// writeTransferFrame writes one transfer frame; exactly one field must
+// be set (a record batch must be non-empty).
+func writeTransferFrame(w io.Writer, f *TransferFrame) error {
+	if !exactlyOne(f.Manifest != nil, len(f.Recs) > 0, f.Foot != nil, f.Err != "") {
+		return fmt.Errorf("wire: transfer frame must set exactly one field")
+	}
+	switch {
+	case f.Manifest != nil:
+		m := f.Manifest
+		return sendFrame(w, tagTransferManifest, func(b []byte) []byte {
+			b = appendString(b, m.Spec.Relation)
+			b = binary.AppendUvarint(b, uint64(len(m.Spec.Cuts)))
+			for _, c := range m.Spec.Cuts {
+				b = binary.AppendUvarint(b, c)
+			}
+			b = binary.AppendUvarint(b, m.Spec.Version)
+			b = appendInt(b, m.Shard)
+			b = binary.AppendUvarint(b, m.Params.L)
+			b = binary.AppendUvarint(b, m.Params.U)
+			b = binary.AppendUvarint(b, m.Params.BP.B)
+			b = appendInt(b, m.Params.BP.Digits)
+			b = binary.AppendUvarint(b, m.Params.Version)
+			b = appendString(b, m.Schema.Name)
+			b = appendString(b, m.Schema.KeyName)
+			b = binary.AppendUvarint(b, uint64(len(m.Schema.Cols)))
+			for _, c := range m.Schema.Cols {
+				b = appendString(b, c.Name)
+				b = appendInt(b, int(c.Type))
+			}
+			b = appendInt(b, m.Records)
+			b = binary.AppendUvarint(b, m.Epoch)
+			return binary.AppendUvarint(b, m.Deltas)
+		})
+	case len(f.Recs) > 0:
+		return sendFrame(w, tagTransferRecs, func(b []byte) []byte {
+			b = binary.AppendUvarint(b, uint64(len(f.Recs)))
+			for i := range f.Recs {
+				b = appendRecord(b, &f.Recs[i])
+			}
+			return b
+		})
+	case f.Foot != nil:
+		return sendFrame(w, tagTransferFoot, func(b []byte) []byte { return appendBytes(b, f.Foot.Digest) })
+	}
+	return sendFrame(w, tagTransferErr, func(b []byte) []byte { return appendString(b, f.Err) })
+}
+
+// readTransferFrame reads one transfer frame.
+func readTransferFrame(r io.Reader) (*TransferFrame, error) {
+	d, tag, err := recvFrame(r)
+	if err != nil {
+		return nil, err
+	}
+	f := new(TransferFrame)
+	switch tag {
+	case tagTransferManifest:
+		m := new(ShardManifest)
+		m.Spec.Relation = d.str()
+		if n := d.count(minBytesField); n > 0 {
+			m.Spec.Cuts = make([]uint64, n)
+			for i := range m.Spec.Cuts {
+				m.Spec.Cuts[i] = d.uvarint()
+			}
+		}
+		m.Spec.Version = d.uvarint()
+		m.Shard = d.int()
+		m.Params.L = d.uvarint()
+		m.Params.U = d.uvarint()
+		m.Params.BP.B = d.uvarint()
+		m.Params.BP.Digits = d.int()
+		m.Params.Version = d.uvarint()
+		m.Schema.Name = d.str()
+		m.Schema.KeyName = d.str()
+		if n := d.count(minColumn); n > 0 {
+			m.Schema.Cols = make([]relation.Column, n)
+			for i := range m.Schema.Cols {
+				m.Schema.Cols[i].Name = d.str()
+				m.Schema.Cols[i].Type = relation.Type(d.int())
+			}
+		}
+		m.Records = d.int()
+		m.Epoch = d.uvarint()
+		m.Deltas = d.uvarint()
+		f.Manifest = m
+	case tagTransferRecs:
+		n := d.count(minRecord)
+		if n == 0 {
+			d.fail()
+		}
+		f.Recs = make([]core.SignedRecord, n)
+		for i := range f.Recs {
+			d.record(&f.Recs[i])
+		}
+	case tagTransferFoot:
+		f.Foot = &TransferFoot{Digest: d.bytes()}
+	case tagTransferErr:
+		if f.Err = d.str(); f.Err == "" {
+			d.fail()
+		}
+	default:
+		d.fail()
+	}
+	if err := d.done(); err != nil {
+		return nil, fmt.Errorf("wire: decode transfer frame: %w", err)
+	}
+	return f, nil
+}
+
 // WriteShardTransfer streams one shard slice as transfer frames:
 // manifest, record batches, foot with the slice digest.
 func WriteShardTransfer(w io.Writer, h *hashx.Hasher, man ShardManifest, sr *core.SignedRelation) error {
 	man.Records = len(sr.Recs)
 	man.Params = sr.Params
 	man.Schema = sr.Schema
-	if err := writeFrame(w, &TransferFrame{Manifest: &man}); err != nil {
+	if err := writeTransferFrame(w, &TransferFrame{Manifest: &man}); err != nil {
 		return err
 	}
 	for off := 0; off < len(sr.Recs); off += transferBatch {
-		end := off + transferBatch
-		if end > len(sr.Recs) {
-			end = len(sr.Recs)
-		}
-		if err := writeFrame(w, &TransferFrame{Recs: sr.Recs[off:end]}); err != nil {
+		end := min(off+transferBatch, len(sr.Recs))
+		if err := writeTransferFrame(w, &TransferFrame{Recs: sr.Recs[off:end]}); err != nil {
 			return err
 		}
 	}
-	return writeFrame(w, &TransferFrame{Foot: &TransferFoot{Digest: partition.SliceDigest(h, sr)}})
+	return writeTransferFrame(w, &TransferFrame{Foot: &TransferFoot{Digest: partition.SliceDigest(h, sr)}})
 }
 
 // ReadShardTransfer consumes a transfer stream and reconstructs the
@@ -370,8 +494,8 @@ func WriteShardTransfer(w io.Writer, h *hashx.Hasher, man ShardManifest, sr *cor
 // — the transfer-integrity half of the trust story; the receiver still
 // owes the signature validation of an untrusted feed.
 func ReadShardTransfer(r io.Reader, h *hashx.Hasher) (ShardManifest, *core.SignedRelation, error) {
-	var f TransferFrame
-	if err := readFrame(r, &f); err != nil {
+	f, err := readTransferFrame(r)
+	if err != nil {
 		if err == io.EOF {
 			err = ErrTransferTruncated
 		}
@@ -387,14 +511,13 @@ func ReadShardTransfer(r io.Reader, h *hashx.Hasher) (ShardManifest, *core.Signe
 	if man.Records < 3 || man.Records > MaxChunkFrame {
 		return ShardManifest{}, nil, fmt.Errorf("wire: implausible transfer record count %d", man.Records)
 	}
-	sr := &core.SignedRelation{
-		Params: man.Params,
-		Schema: man.Schema,
-		Recs:   make([]core.SignedRecord, 0, man.Records),
-	}
+	// The claimed count sizes at most a few batches up front: the rest
+	// grows as records actually arrive, in frames their length bounds.
+	sr := &core.SignedRelation{Params: man.Params, Schema: man.Schema,
+		Recs: make([]core.SignedRecord, 0, min(man.Records, 4*transferBatch))}
 	for {
-		f = TransferFrame{}
-		if err := readFrame(r, &f); err != nil {
+		f, err := readTransferFrame(r)
+		if err != nil {
 			if err == io.EOF {
 				err = ErrTransferTruncated
 			}
@@ -411,12 +534,13 @@ func ReadShardTransfer(r io.Reader, h *hashx.Hasher) (ShardManifest, *core.Signe
 				return man, nil, ErrTransferDigest
 			}
 			return man, sr, nil
-		case len(f.Recs) > 0:
-			if len(sr.Recs)+len(f.Recs) > man.Records {
-				return man, nil, fmt.Errorf("wire: transfer overran its manifest record count")
-			}
-			sr.Recs = append(sr.Recs, f.Recs...)
+		case f.Manifest != nil:
+			return man, nil, fmt.Errorf("wire: shard transfer carries a second manifest")
 		}
+		if len(sr.Recs)+len(f.Recs) > man.Records {
+			return man, nil, fmt.Errorf("wire: transfer overran its manifest record count")
+		}
+		sr.Recs = append(sr.Recs, f.Recs...)
 	}
 }
 
@@ -515,29 +639,87 @@ type LeaseResponse struct {
 }
 
 // WriteLeaseRequest / ReadLeaseRequest frame a heartbeat on the shared
-// length-prefixed gob codec. Exported so the fuzz harness can hammer the
-// decode path with raw bytes exactly as the endpoint receives them.
-func WriteLeaseRequest(w io.Writer, req *LeaseRequest) error { return writeFrame(w, req) }
+// frame codec. Exported so the fuzz harness can hammer the decode path
+// with raw bytes exactly as the endpoint receives them.
+func WriteLeaseRequest(w io.Writer, req *LeaseRequest) error {
+	return sendFrame(w, tagLeaseRequest, func(b []byte) []byte {
+		b = appendString(b, req.Coordinator)
+		b = binary.AppendUvarint(b, req.Epoch)
+		b = binary.AppendVarint(b, req.TTLMillis)
+		return binary.AppendUvarint(b, req.Seq)
+	})
+}
 
 // ReadLeaseRequest reads one framed heartbeat.
 func ReadLeaseRequest(r io.Reader) (*LeaseRequest, error) {
-	var req LeaseRequest
-	if err := readFrame(r, &req); err != nil {
+	d, err := recvTagged(r, tagLeaseRequest)
+	if err != nil {
 		return nil, err
 	}
-	return &req, nil
+	req := &LeaseRequest{
+		Coordinator: d.str(),
+		Epoch:       d.uvarint(),
+		TTLMillis:   d.varint(),
+		Seq:         d.uvarint(),
+	}
+	if err := d.done(); err != nil {
+		return nil, fmt.Errorf("wire: decode lease request: %w", err)
+	}
+	return req, nil
 }
 
 // WriteLeaseResponse frames a heartbeat acknowledgement.
-func WriteLeaseResponse(w io.Writer, resp *LeaseResponse) error { return writeFrame(w, resp) }
+func WriteLeaseResponse(w io.Writer, resp *LeaseResponse) error {
+	return sendFrame(w, tagLeaseResponse, func(b []byte) []byte {
+		b = binary.AppendUvarint(b, resp.Epoch)
+		b = appendInt(b, resp.Hosted)
+		b = binary.AppendUvarint(b, resp.Inflight)
+		return appendString(b, resp.Err)
+	})
+}
 
 // ReadLeaseResponse reads one framed heartbeat acknowledgement.
 func ReadLeaseResponse(r io.Reader) (*LeaseResponse, error) {
-	var resp LeaseResponse
-	if err := readFrame(r, &resp); err != nil {
+	d, err := recvTagged(r, tagLeaseResponse)
+	if err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	resp := &LeaseResponse{
+		Epoch:    d.uvarint(),
+		Hosted:   d.int(),
+		Inflight: d.uvarint(),
+		Err:      d.str(),
+	}
+	if err := d.done(); err != nil {
+		return nil, fmt.Errorf("wire: decode lease response: %w", err)
+	}
+	return resp, nil
+}
+
+// WriteEdgeResponse frames a /shard/edges answer — the seam material the
+// coordinator probes on every pinned cross-shard query.
+func WriteEdgeResponse(w io.Writer, resp *EdgeResponse) error {
+	return sendFrame(w, tagEdges, func(b []byte) []byte {
+		b = binary.AppendUvarint(b, resp.Epoch)
+		b = appendEdges(b, &resp.Edges)
+		return appendString(b, resp.Err)
+	})
+}
+
+// ReadEdgeResponse reads one framed edge-probe answer.
+func ReadEdgeResponse(r io.Reader) (*EdgeResponse, error) {
+	d, err := recvTagged(r, tagEdges)
+	if err != nil {
+		return nil, err
+	}
+	resp := new(EdgeResponse)
+	resp.Epoch = d.uvarint()
+	d.edges(&resp.Edges)
+	resp.Err = d.str()
+	if err := d.done(); err != nil {
+		return nil, fmt.Errorf("wire: decode edge response: %w", err)
+	}
+	return resp, nil
 }
 
 // --- two-phase distributed delta -------------------------------------
@@ -638,16 +820,45 @@ func (c *Client) ObsExport() (obs.Export, error) {
 	return obs.DecodeExport(io.LimitReader(resp.Body, 8<<20))
 }
 
+// postForFrames posts a gob request body and returns the response body
+// of frames on 200; any other status is an error carrying the node's
+// message.
+func (c *Client) postForFrames(path string, req any) (io.ReadCloser, error) {
+	httpc := c.HTTP
+	if httpc == nil {
+		httpc = http.DefaultClient
+	}
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(req); err != nil {
+		return nil, fmt.Errorf("wire: encode %s request: %w", path, err)
+	}
+	resp, err := httpc.Post(c.BaseURL+path, "application/octet-stream", &body)
+	if err != nil {
+		return nil, fmt.Errorf("wire: post %s: %w", path, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+		resp.Body.Close()
+		return nil, fmt.Errorf("wire: node returned %s on %s: %s", resp.Status, path, strings.TrimSpace(string(msg)))
+	}
+	return resp.Body, nil
+}
+
 // ShardEdges fetches a hosted slice's seam material.
 func (c *Client) ShardEdges(ref ShardRef) (EdgeResponse, error) {
-	var out EdgeResponse
-	if err := c.postGob("/shard/edges", ref, &out); err != nil {
-		return out, err
+	body, err := c.postForFrames("/shard/edges", ref)
+	if err != nil {
+		return EdgeResponse{}, err
+	}
+	defer body.Close()
+	out, err := ReadEdgeResponse(body)
+	if err != nil {
+		return EdgeResponse{}, err
 	}
 	if out.Err != "" {
-		return out, fmt.Errorf("wire: node error: %s", out.Err)
+		return *out, fmt.Errorf("wire: node error: %s", out.Err)
 	}
-	return out, nil
+	return *out, nil
 }
 
 // ShardDigest fetches a hosted slice's digest summary.
@@ -690,24 +901,7 @@ func (c *Client) Hosted() (HostedResponse, error) {
 // ShardFetch opens a transfer stream for a hosted slice. The caller owns
 // the returned body (positioned at the manifest frame) and must close it.
 func (c *Client) ShardFetch(ref ShardRef) (io.ReadCloser, error) {
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(ref); err != nil {
-		return nil, fmt.Errorf("wire: encode fetch request: %w", err)
-	}
-	resp, err := httpc.Post(c.BaseURL+"/shard/fetch", "application/octet-stream", &body)
-	if err != nil {
-		return nil, fmt.Errorf("wire: post fetch: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		resp.Body.Close()
-		return nil, fmt.Errorf("wire: node returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return resp.Body, nil
+	return c.postForFrames("/shard/fetch", ref)
 }
 
 // ShardInstall streams transfer frames from r into a node's install
@@ -762,8 +956,8 @@ func (c *Client) NodeMirror(req MirrorRequest) (MirrorResponse, error) {
 }
 
 // NodeLease sends one heartbeat to a node's lease endpoint. Unlike the
-// gob control calls this rides the length-prefixed frame codec end to
-// end, so the decode surface on both sides is the fuzzed one.
+// gob control calls this rides the frame codec in both directions, so
+// the decode surface on both sides is the fuzzed one.
 func (c *Client) NodeLease(req LeaseRequest) (LeaseResponse, error) {
 	httpc := c.HTTP
 	if httpc == nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"vcqr/internal/hashx"
@@ -129,9 +130,9 @@ func TestLeaseFrameRoundTrip(t *testing.T) {
 }
 
 // FuzzReadLeaseFrame fuzzes both heartbeat decoders with raw bytes:
-// neither may panic, and any frame either accepts must re-encode. The
-// coordinator feeds these decoders bytes from nodes it explicitly does
-// not trust.
+// neither may panic, and any frame either accepts must re-encode to
+// exactly its input bytes. The coordinator feeds these decoders bytes
+// from nodes it explicitly does not trust.
 func FuzzReadLeaseFrame(f *testing.F) {
 	var seed bytes.Buffer
 	if err := wire.WriteLeaseRequest(&seed, &wire.LeaseRequest{Coordinator: "c", Epoch: 1, TTLMillis: 1000, Seq: 1}); err != nil {
@@ -145,55 +146,116 @@ func FuzzReadLeaseFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 42})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		for {
+		canonicalFrames(t, data, func(r io.Reader, w io.Writer) error {
 			req, err := wire.ReadLeaseRequest(r)
 			if err != nil {
-				break
+				return err
 			}
-			if err := wire.WriteLeaseRequest(io.Discard, req); err != nil {
+			if err := wire.WriteLeaseRequest(w, req); err != nil {
 				t.Fatalf("accepted lease request does not re-encode: %v", err)
 			}
-		}
-		r = bytes.NewReader(data)
-		for {
+			return nil
+		})
+		canonicalFrames(t, data, func(r io.Reader, w io.Writer) error {
 			resp, err := wire.ReadLeaseResponse(r)
 			if err != nil {
-				break
+				return err
 			}
-			if err := wire.WriteLeaseResponse(io.Discard, resp); err != nil {
+			if err := wire.WriteLeaseResponse(w, resp); err != nil {
 				t.Fatalf("accepted lease response does not re-encode: %v", err)
 			}
-		}
+			return nil
+		})
 	})
 }
 
 // FuzzReadNodeFrame fuzzes the sub-stream frame decoder — the bytes the
-// coordinator's merge path and the fault injector's frame parser both
-// consume from untrusted node streams. It must never panic, and accepted
-// frames must re-encode.
+// coordinator's merge path, the edge-cache replay and the fault
+// injector's frame parser all consume from untrusted peers. It must never
+// panic, and accepted frames must re-encode to exactly their input bytes.
 func FuzzReadNodeFrame(f *testing.F) {
 	var seed bytes.Buffer
-	if err := wire.WriteNodeFrame(&seed, &wire.NodeFrame{Hello: &wire.NodeHello{Shard: 1, Epoch: 2}}); err != nil {
-		f.Fatal(err)
-	}
-	if err := wire.WriteNodeFrame(&seed, &wire.NodeFrame{Err: "boom"}); err != nil {
-		f.Fatal(err)
+	h := hashx.New()
+	for _, fr := range []*wire.NodeFrame{
+		{Hello: &wire.NodeHello{Shard: 1, Epoch: 2, Digest: h.Hash([]byte("d"))}},
+		{Chunk: sampleChunks()[1]},
+		{Foot: &wire.NodeFoot{Entries: 1, Partial: []byte{7}, NeedPrevG: true}},
+		{Err: "boom"},
+	} {
+		if err := wire.WriteNodeFrame(&seed, fr); err != nil {
+			f.Fatal(err)
+		}
 	}
 	f.Add(seed.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 42})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		for {
+		canonicalFrames(t, data, func(r io.Reader, w io.Writer) error {
 			fr, err := wire.ReadNodeFrame(r)
 			if err != nil {
-				break
+				return err
 			}
-			if err := wire.WriteNodeFrame(io.Discard, fr); err != nil {
+			if err := wire.WriteNodeFrame(w, fr); err != nil {
 				t.Fatalf("accepted node frame does not re-encode: %v", err)
 			}
+			return nil
+		})
+	})
+}
+
+// FuzzReadShardTransfer fuzzes the transfer decoder — the bytes a node
+// installs from a peer it does not trust. Frame by frame the codec is
+// canonical; a whole transfer it accepts must carry exactly the records
+// its manifest claims, and must survive a re-encode and re-read
+// unchanged.
+func FuzzReadShardTransfer(f *testing.F) {
+	h := hashx.New()
+	o := owner.NewWithKey(h, signKey(f))
+	rel, err := workload.Uniform(workload.UniformConfig{N: 6, L: 0, U: 1 << 16, PayloadSize: 4, Seed: 9})
+	if err != nil {
+		f.Fatal(err)
+	}
+	sr, err := o.Publish(rel, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	set, err := partition.Split(sr, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var seed bytes.Buffer
+	if err := wire.WriteShardTransfer(&seed, h, wire.ShardManifest{Spec: set.Spec, Shard: 1}, set.Slices[1]); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 1, 42})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		canonicalFrames(t, data, func(r io.Reader, w io.Writer) error {
+			fr, err := wire.ReadTransferFrame(r)
+			if err != nil {
+				return err
+			}
+			if err := wire.WriteTransferFrame(w, fr); err != nil {
+				t.Fatalf("accepted transfer frame does not re-encode: %v", err)
+			}
+			return nil
+		})
+		man, got, err := wire.ReadShardTransfer(bytes.NewReader(data), h)
+		if err != nil {
+			return
+		}
+		if len(got.Recs) != man.Records {
+			t.Fatalf("accepted transfer is inconsistent: %d records, manifest says %d", len(got.Recs), man.Records)
+		}
+		var again bytes.Buffer
+		if err := wire.WriteShardTransfer(&again, h, man, got); err != nil {
+			t.Fatalf("accepted transfer does not re-encode: %v", err)
+		}
+		man2, got2, err := wire.ReadShardTransfer(&again, h)
+		if err != nil || !reflect.DeepEqual(man2, man) || !reflect.DeepEqual(got2, got) {
+			t.Fatalf("accepted transfer changes on a re-encode (%v)", err)
 		}
 	})
 }

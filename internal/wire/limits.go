@@ -7,7 +7,7 @@ import (
 )
 
 // Request body caps shared by every HTTP front end: the single-process
-// server, shard nodes and the coordinator. Queries and streams are small
+// server, shard nodes, the coordinator and cache peers. Queries and streams are small
 // by construction and batches bounded; a delta batch (or a shard
 // transfer) legitimately carries signed records but is still bounded —
 // anything larger should ship as a snapshot, not a delta.
@@ -15,6 +15,8 @@ const (
 	MaxQueryBody = 1 << 20
 	MaxBatchBody = 8 << 20
 	MaxDeltaBody = 256 << 20
+	// MaxCacheBody is one cache-protocol frame at the frame cap.
+	MaxCacheBody = 4 + MaxChunkFrame
 )
 
 // CapBody bounds an untrusted request body so one client cannot buffer a

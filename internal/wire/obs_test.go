@@ -2,19 +2,24 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"reflect"
 	"testing"
 
 	"vcqr/internal/engine"
 	"vcqr/internal/obs"
 )
 
-// These tests pin the wire-compatibility claim of the tracing fields:
-// they are *optional* gob struct fields, so a peer built before this
-// change decodes the new encodings unchanged (gob drops fields the
-// receiver lacks) and a new peer decodes old encodings with the fields
-// zero. The "old" shapes below are literal copies of the structs as they
-// existed before the trace fields landed.
+// The request-side tests pin the wire-compatibility claim of the tracing
+// fields on gob request bodies: they are *optional* gob struct fields, so
+// a peer built before they landed decodes the new encodings unchanged
+// (gob drops fields the receiver lacks) and a new peer decodes old
+// encodings with the fields zero. The "old" shapes below are literal
+// copies of the structs as they existed before the trace fields landed.
+// Response frames ride the binary codec instead, whose compatibility
+// rule is the opposite: same version or refused (TestFrameVersionRefused).
 
 // oldStreamRequest is StreamRequest before Trace/Timing.
 type oldStreamRequest struct {
@@ -107,48 +112,84 @@ func TestTimingTrailerFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Type != engine.ChunkTiming || out.Trace != in.Trace || len(out.Timing) != 2 ||
-		out.Timing[0] != in.Timing[0] || out.Timing[1] != in.Timing[1] {
+	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("trailer round trip mismatch: %+v", out)
-	}
-	// An old-shaped chunk reader (no Trace/Timing fields) must decode the
-	// frame without error — the trailer degrades to an unknown-typed chunk
-	// it can ignore or reject at its own layer, never a decode failure.
-	type oldChunk struct {
-		Type engine.ChunkType
-		Seq  uint64
-		Err  string
-	}
-	buf.Reset()
-	if err := WriteChunkFrame(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	var hdr [4]byte
-	if _, err := buf.Read(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	var old oldChunk
-	if err := gob.NewDecoder(&buf).Decode(&old); err != nil {
-		t.Fatalf("old reader failed to decode timing frame: %v", err)
-	}
-	if old.Type != engine.ChunkTiming {
-		t.Fatalf("old reader saw type %v", old.Type)
 	}
 }
 
+// gobEraFrame frames v the way builds before the binary codec did: a
+// 4-byte length, then a self-contained gob encoding.
+func gobEraFrame(t *testing.T, v any) []byte {
+	t.Helper()
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	out := binary.BigEndian.AppendUint32(nil, uint32(body.Len()))
+	return append(out, body.Bytes()...)
+}
+
+// TestFrameVersionRefused pins the mixed-build guarantee: a frame from a
+// gob-era peer, or from a codec of another version, is refused with
+// ErrFrameVersion by every frame reader — never misread as data.
+func TestFrameVersionRefused(t *testing.T) {
+	trailer := &engine.Chunk{Type: engine.ChunkTiming, Trace: "t", Timing: []obs.StageDur{{Stage: "s", NS: 1}}}
+	gobEra := map[string][]byte{
+		"chunk":  gobEraFrame(t, trailer),
+		"node":   gobEraFrame(t, &NodeFrame{Foot: &NodeFoot{Entries: 9}}),
+		"lease":  gobEraFrame(t, &LeaseRequest{Coordinator: "c", Epoch: 1, TTLMillis: 1000, Seq: 1}),
+		"edges":  gobEraFrame(t, &EdgeResponse{Epoch: 3}),
+		"shards": gobEraFrame(t, &TransferFrame{Foot: &TransferFoot{}}),
+	}
+	var cur bytes.Buffer
+	if err := WriteChunkFrame(&cur, trailer); err != nil {
+		t.Fatal(err)
+	}
+	wrong := append([]byte(nil), cur.Bytes()...)
+	wrong[4] = CodecVersion + 1
+	gobEra["next-version"] = wrong
+
+	readers := map[string]func([]byte) error{
+		"ReadChunkFrame": func(b []byte) error { _, err := ReadChunkFrame(bytes.NewReader(b)); return err },
+		"ReadNodeFrame":  func(b []byte) error { _, err := ReadNodeFrame(bytes.NewReader(b)); return err },
+		"ReadLeaseRequest": func(b []byte) error {
+			_, err := ReadLeaseRequest(bytes.NewReader(b))
+			return err
+		},
+		"ReadEdgeResponse": func(b []byte) error {
+			_, err := ReadEdgeResponse(bytes.NewReader(b))
+			return err
+		},
+		"readTransferFrame": func(b []byte) error { _, err := readTransferFrame(bytes.NewReader(b)); return err },
+		"ReadCacheFrame":    func(b []byte) error { _, err := ReadCacheFrame(bytes.NewReader(b)); return err },
+	}
+	for fname, frame := range gobEra {
+		for rname, read := range readers {
+			if err := read(frame); !errors.Is(err, ErrFrameVersion) {
+				t.Errorf("%s on a %s frame: %v, want ErrFrameVersion", rname, fname, err)
+			}
+		}
+	}
+}
+
+// TestNodeFootTimingOptional: the foot's advisory timing stays optional —
+// a foot without it decodes with nil Timing, one with it round-trips
+// exactly, and the seam fields are identical either way.
 func TestNodeFootTimingOptional(t *testing.T) {
-	type oldNodeFoot struct {
-		Entries uint64
-	}
-	in := NodeFoot{Entries: 9, Timing: []obs.StageDur{{Stage: obs.StageVOAssemble, NS: 42}}}
-	var old oldNodeFoot
-	gobRoundTrip(t, in, &old)
-	if old.Entries != 9 {
-		t.Fatalf("old reader lost Entries: %+v", old)
-	}
-	var cur NodeFoot
-	gobRoundTrip(t, oldNodeFoot{Entries: 4}, &cur)
-	if cur.Entries != 4 || cur.Timing != nil {
-		t.Fatalf("optional Timing must decode nil: %+v", cur)
+	for _, in := range []*NodeFoot{
+		{Entries: 4},
+		{Entries: 9, Timing: []obs.StageDur{{Stage: obs.StageVOAssemble, NS: 42}}},
+	} {
+		var buf bytes.Buffer
+		if err := WriteNodeFrame(&buf, &NodeFrame{Foot: in}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := ReadNodeFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Foot == nil || !reflect.DeepEqual(f.Foot, in) {
+			t.Fatalf("foot round trip: got %+v, want %+v", f.Foot, in)
+		}
 	}
 }

@@ -3,13 +3,10 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 
 	"vcqr/internal/accessctl"
 	"vcqr/internal/engine"
@@ -18,97 +15,35 @@ import (
 )
 
 // Chunk framing: each chunk of a streamed result travels as one
-// self-delimiting frame — a 4-byte big-endian length followed by that
-// many bytes of gob-encoded engine.Chunk. Frames are independently
-// decodable (each carries its own gob type preamble), so a reader can
+// self-delimiting frame of the shared codec (codec.go) — a 4-byte
+// big-endian length, the codec version, the chunk tag and the chunk's
+// fields. Frames are independently decodable, so a reader can
 // resynchronize per frame, bound its memory by MaxChunkFrame, and hand
 // chunks to the verifier the moment they arrive. Nothing in the framing
 // is trusted: truncation, reordering and tampering are all caught by the
 // verification layer; the frame format only needs to fail cleanly.
 
-// MaxChunkFrame bounds one frame's payload. An engine chunk holds at
-// most MaxChunkRows entries of digests and values; anything larger is a
-// malformed or malicious stream, rejected before allocation.
-const MaxChunkFrame = 64 << 20
-
-// Framing errors.
-var (
-	// ErrFrameTooBig reports a length prefix beyond MaxChunkFrame.
-	ErrFrameTooBig = errors.New("wire: chunk frame exceeds size limit")
-	// ErrFrameTruncated reports a stream that ended inside a frame.
-	ErrFrameTruncated = errors.New("wire: chunk frame truncated")
-)
-
-// frameBufPool recycles the per-frame scratch buffers of the chunk
-// codec. A long stream writes (and reads) thousands of frames; without
-// the pool every frame retires a buffer the size of its payload to the
-// garbage collector. Buffers that grew beyond maxPooledFrame are dropped
-// instead of pooled so one pathological frame cannot pin megabytes.
-var frameBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledFrame bounds the capacity of buffers returned to the pool.
-const maxPooledFrame = 1 << 20
-
-func putFrameBuf(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledFrame {
-		frameBufPool.Put(buf)
-	}
-}
-
 // WriteChunkFrame writes one length-prefixed chunk frame. The encode
 // scratch buffer is pooled; nothing of the chunk is retained.
 func WriteChunkFrame(w io.Writer, c *engine.Chunk) error {
-	buf := frameBufPool.Get().(*bytes.Buffer)
-	defer putFrameBuf(buf)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(c); err != nil {
-		return fmt.Errorf("wire: encode chunk: %w", err)
-	}
-	if buf.Len() > MaxChunkFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, buf.Len())
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	return nil
+	return sendFrame(w, tagChunk, func(b []byte) []byte { return appendChunk(b, c) })
 }
 
 // ReadChunkFrame reads one frame. It returns io.EOF exactly at a frame
-// boundary (the clean end of a stream) and ErrFrameTruncated when the
-// stream dies mid-frame.
+// boundary (the clean end of a stream), ErrFrameTruncated when the
+// stream dies mid-frame and ErrFrameVersion for a frame of another
+// codec version. The chunk's byte fields alias the frame's own payload.
 func ReadChunkFrame(r io.Reader) (*engine.Chunk, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w: length prefix: %v", ErrFrameTruncated, err)
+	d, err := recvTagged(r, tagChunk)
+	if err != nil {
+		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxChunkFrame {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
-	}
-	// Copy incrementally rather than pre-allocating the claimed length:
-	// a lying length prefix on a short stream then costs a small buffer,
-	// not MaxChunkFrame of allocation. The buffer is pooled — gob copies
-	// everything it decodes into the chunk, so nothing aliases it after
-	// the decode returns.
-	body := frameBufPool.Get().(*bytes.Buffer)
-	defer putFrameBuf(body)
-	body.Reset()
-	if _, err := io.CopyN(body, r, int64(n)); err != nil {
-		return nil, fmt.Errorf("%w: body: %v", ErrFrameTruncated, err)
-	}
-	var c engine.Chunk
-	if err := gob.NewDecoder(body).Decode(&c); err != nil {
+	c := new(engine.Chunk)
+	d.chunk(c)
+	if err := d.done(); err != nil {
 		return nil, fmt.Errorf("wire: decode chunk: %w", err)
 	}
-	return &c, nil
+	return c, nil
 }
 
 // StreamRequest asks a publisher to answer a query as a chunk stream.

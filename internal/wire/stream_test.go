@@ -87,7 +87,7 @@ func TestChunkFrameSizeLimit(t *testing.T) {
 	}
 }
 
-// TestChunkFrameGarbage checks that non-gob bytes fail cleanly.
+// TestChunkFrameGarbage checks that arbitrary bytes fail cleanly.
 func TestChunkFrameGarbage(t *testing.T) {
 	body := []byte("this is not gob")
 	var buf bytes.Buffer
@@ -101,7 +101,8 @@ func TestChunkFrameGarbage(t *testing.T) {
 }
 
 // FuzzReadChunkFrame fuzzes the frame decoder with raw bytes: it must
-// never panic, and any chunk it accepts must re-encode.
+// never panic, and the codec is canonical — any chunk it accepts
+// re-encodes to exactly the bytes it was read from.
 func FuzzReadChunkFrame(f *testing.F) {
 	var seed bytes.Buffer
 	for _, c := range sampleChunks() {
@@ -114,15 +115,34 @@ func FuzzReadChunkFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 42})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		for {
+		canonicalFrames(t, data, func(r io.Reader, w io.Writer) error {
 			c, err := wire.ReadChunkFrame(r)
 			if err != nil {
-				break
+				return err
 			}
-			if err := wire.WriteChunkFrame(io.Discard, c); err != nil {
+			if err := wire.WriteChunkFrame(w, c); err != nil {
 				t.Fatalf("accepted chunk does not re-encode: %v", err)
 			}
-		}
+			return nil
+		})
 	})
+}
+
+// canonicalFrames is the fuzz oracle of the frame codec: it decodes
+// frames off data until the first refusal, and requires each accepted
+// frame to re-encode (through roundTrip, which reads one frame from r
+// and writes it back to w) to exactly the bytes it was read from.
+func canonicalFrames(t *testing.T, data []byte, roundTrip func(r io.Reader, w io.Writer) error) {
+	t.Helper()
+	r := bytes.NewReader(data)
+	for {
+		start := len(data) - r.Len()
+		var out bytes.Buffer
+		if err := roundTrip(r, &out); err != nil {
+			return
+		}
+		if in := data[start : len(data)-r.Len()]; !bytes.Equal(out.Bytes(), in) {
+			t.Fatalf("accepted frame re-encodes differently:\n in %x\nout %x", in, out.Bytes())
+		}
+	}
 }

@@ -1,9 +1,11 @@
 // Package wire provides serialization and the HTTP transport of the
 // data-publishing deployment (Figure 3): the owner ships gob-encoded
-// signed relations to publishers; publishers answer queries over HTTP
-// with gob-encoded results; users verify client-side with the owner's
-// public key. Nothing in the transport is trusted — all integrity comes
-// from the verification objects.
+// signed relations to publishers; publishers answer gob-encoded queries
+// over HTTP, materialized results in gob and streamed ones as frames of
+// one binary codec (codec.go); users verify client-side with the owner's
+// public key. Nothing in the
+// transport is trusted — all integrity comes from the verification
+// objects.
 package wire
 
 import (
